@@ -35,6 +35,7 @@ from .horner import (
 )
 from .cse import (
     Dag,
+    DeltaScorer,
     SimplifyResult,
     build_dag,
     dag_listing,
@@ -44,7 +45,6 @@ from .cse import (
     simplify,
 )
 from .mcts import (
-    Criterion,
     Schedule,
     SearchParams,
     SearchResult,
@@ -53,7 +53,6 @@ from .mcts import (
     search,
     temperature,
 )
-from .score import DeltaScorer
 from .benchgen import PRESETS, RandomExprParams, preset_expr, random_expr, resultant_expr
 from .sweep import SweepConfig, SweepRow, analyze_rows, roi_width, run_sweep
 
@@ -90,7 +89,6 @@ __all__ = [
     "eliminate_pairs",
     "eval_dag_mod_p",
     "simplify",
-    "Criterion",
     "Schedule",
     "SearchParams",
     "SearchResult",

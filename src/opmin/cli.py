@@ -1,13 +1,18 @@
 """Command-line front end.
 
 Subcommands: simplify, search, sweep, bruteforce, generate, analyze.
-Exit codes: 0 success, 1 usage error, 2 input error.
+Exit codes: 0 success; 1 malformed command line; 2 bad input or argument
+value (unreadable or unparsable file, unknown scheme atom or schedule, a
+number out of range such as --n-updates 0, input nested too deeply); 141,
+silently, when standard output is closed early (``| head``).
+``--criterion uct`` means SA-UCT with the constant schedule.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import benchgen
@@ -23,7 +28,6 @@ from .horner import (
     tree_op_count,
 )
 from .mcts import (
-    Criterion,
     Schedule,
     SearchParams,
     brute_force_search,
@@ -53,12 +57,16 @@ def _load_expression(path: str):
 
 
 def _add_search_flags(p):
-    p.add_argument("--cp", type=float, default=1.0, help="exploration constant / initial temperature")
     p.add_argument("--n-updates", type=int, default=1000, help="tree updates per run")
     p.add_argument("--criterion", choices=["uct", "sa-uct"], default="sa-uct")
     p.add_argument("--schedule", default="linear", help="linear, const, or exp:<halflife>")
     p.add_argument("--direction", choices=["forward", "backward"], default="forward")
     p.add_argument("--seed", type=int, default=0)
+
+
+def _schedule(args) -> Schedule:
+    schedule = Schedule.from_string(args.schedule)
+    return Schedule.constant() if args.criterion == "uct" else schedule
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="MCTS search for a low-operation scheme")
     p.add_argument("exprfile")
+    p.add_argument("--cp", type=float, default=1.0, help="exploration constant / initial temperature")
     _add_search_flags(p)
     p.add_argument("--repeats", type=int, default=1, help="independent runs, best kept")
     p.set_defaults(func=cmd_search)
@@ -83,11 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cp-min", type=float, default=0.01)
     p.add_argument("--cp-max", type=float, default=10.0)
     p.add_argument("--samples", type=int, default=4000)
-    p.add_argument("--n-updates", type=int, default=1000)
-    p.add_argument("--criterion", choices=["uct", "sa-uct"], default="sa-uct")
-    p.add_argument("--schedule", default="linear")
-    p.add_argument("--direction", choices=["forward", "backward"], default="forward")
-    p.add_argument("--seed", type=int, default=0)
+    _add_search_flags(p)
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default="-", help="output path (default stdout)")
@@ -129,6 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _ops_json(c) -> dict:
+    return {"mul": c.mul, "add": c.add, "total": c.total}
+
+
 def cmd_simplify(args) -> int:
     e = _load_expression(args.exprfile)
     direction = Direction(args.direction)
@@ -143,26 +152,14 @@ def cmd_simplify(args) -> int:
     result = simplify(e, scheme)
     listing = dag_listing(result.dag, e.atoms)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "naive": {"mul": naive.mul, "add": naive.add, "total": naive.total},
-                    "horner": {
-                        "mul": horner_count.mul,
-                        "add": horner_count.add,
-                        "total": horner_count.total,
-                    },
-                    "cse": {
-                        "mul": result.ops.mul,
-                        "add": result.ops.add,
-                        "total": result.ops.total,
-                    },
-                    "scheme": scheme_to_string(scheme, e.atoms),
-                    "dag": listing.split("\n"),
-                },
-                indent=2,
-            )
-        )
+        doc = {
+            "naive": _ops_json(naive),
+            "horner": _ops_json(horner_count),
+            "cse": _ops_json(result.ops),
+            "scheme": scheme_to_string(scheme, e.atoms),
+            "dag": listing.split("\n"),
+        }
+        print(json.dumps(doc, indent=2))
     else:
         print(f"naive:  {naive}")
         print(f"horner: {horner_count}")
@@ -179,8 +176,7 @@ def cmd_search(args) -> int:
         cp=args.cp,
         n_updates=args.n_updates,
         repeats=args.repeats,
-        criterion=Criterion(args.criterion),
-        schedule=Schedule.from_string(args.schedule),
+        schedule=_schedule(args),
         direction=Direction(args.direction),
         seed=args.seed,
     )
@@ -196,9 +192,8 @@ def cmd_sweep(args) -> int:
         cp_max=args.cp_max,
         samples=args.samples,
         n_updates=args.n_updates,
-        criterion=Criterion(args.criterion),
         direction=Direction(args.direction),
-        schedule=Schedule.from_string(args.schedule),
+        schedule=_schedule(args),
         base_seed=args.seed,
     )
     rows = run_sweep(e, config, jobs=args.jobs)
@@ -285,7 +280,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Keep the interpreter's final flush from failing a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except RecursionError:
+        print("opmin: error: input nested too deeply for the Horner build", file=sys.stderr)
+        return 2
     except (OSError, ParseError, ValueError, KeyError) as exc:
         print(f"opmin: error: {exc}", file=sys.stderr)
         return 2

@@ -1,23 +1,26 @@
-"""Hash-consed expression DAGs and common-subexpression elimination.
+"""Hash-consed expression DAGs, common-subexpression elimination, scoring.
 
 A DAG stores every structurally distinct subexpression once. Sum/Product
 children are kept sorted so that commutative/associative reorderings map to
-one canonical node. On top of plain sharing, ``eliminate_pairs`` repeatedly
+one canonical node. On top of plain sharing, ``_Rewriter.run`` repeatedly
 extracts the child pair that occurs under the most same-operator nodes,
 materializing it as a shared node; this exposes partial overlaps between
 wide sums/products that hash-consing alone cannot see.
 
-The pipeline entry point is ``simplify``: Horner tree, DAG, pair
-elimination, operation count. The resulting total is the playout score used
-by the search layer.
+Production path: ``DeltaScorer.build`` interns the Horner form straight
+into a rewriter arena, then ``run`` and a count; ``simplify`` also returns
+the compacted DAG, and ``DeltaScorer.delta`` (the search's playout score)
+caches the count per order. Reference path: ``apply_scheme``,
+``build_dag``, ``eliminate_pairs``, ``dag_op_count``. Both intern nodes in
+the same order, so they give the same arena, DAG and count; the tests check
+this node for node on random inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .expr import Expression, OpCount
-from .horner import Const, Power, Product, Scheme, Sum, Var, apply_scheme
-from .expr import AtomTable
+from .expr import AtomTable, Expression, OpCount, variables
+from .horner import Const, Power, Scheme, Sum, Var, check_scheme, effective_order
 
 K_SUM, K_PROD, K_POW, K_VAR, K_CONST = 0, 1, 2, 3, 4
 _AC = (K_SUM, K_PROD)
@@ -32,27 +35,16 @@ class Dag:
     instances are immutable and safe to share.
     """
 
-    __slots__ = ("kinds", "args", "roots", "index")
+    __slots__ = ("kinds", "args", "roots")
 
-    def __init__(self, kinds, args, roots, index):
+    def __init__(self, kinds, args, roots):
         self.kinds = tuple(kinds)
         self.args = tuple(args)
         self.roots = tuple(roots)
-        self.index = index
 
     @property
     def node_count(self) -> int:
         return len(self.kinds)
-
-    def parents_of(self, i: int) -> list[int]:
-        """Ids of nodes referring to *i* (in-degree support, mostly for tests)."""
-        out = []
-        for j, (k, a) in enumerate(zip(self.kinds, self.args)):
-            if k in _AC and i in a:
-                out.append(j)
-            elif k == K_POW and a[0] == i:
-                out.append(j)
-        return out
 
 
 @dataclass(frozen=True)
@@ -68,7 +60,11 @@ class SimplifyResult:
 
 
 def build_dag(tree) -> Dag:
-    """Intern a tree bottom-up; identical subtrees share one node."""
+    """Intern a tree bottom-up; identical subtrees share one node.
+
+    This is the reference interning that ``DeltaScorer.build`` reproduces
+    without the tree.
+    """
     kinds: list[int] = []
     args: list[tuple] = []
     index: dict = {}
@@ -95,7 +91,7 @@ def build_dag(tree) -> Dag:
         return intern((kind, ch), kind, ch)
 
     root = visit(tree)
-    return Dag(kinds, args, [root], index)
+    return Dag(kinds, args, [root])
 
 
 # ---------------------------------------------------------------------------
@@ -288,31 +284,7 @@ class _Rewriter:
 
     def live_op_count(self) -> tuple[int, int]:
         """(mul, add) over nodes reachable from the roots."""
-        kinds, args = self.kinds, self.args
-        mul = add = 0
-        seen: set[int] = set()
-        stack = list(self.roots)
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            k = kinds[i]
-            if k == K_SUM:
-                add += len(args[i]) - 1
-                stack.extend(args[i])
-            elif k == K_PROD:
-                ch = args[i]
-                free = 0
-                for c in ch:
-                    if kinds[c] == K_CONST and args[c][0] in (1, -1):
-                        free += 1
-                mul += len(ch) - 1 - free
-                stack.extend(ch)
-            elif k == K_POW:
-                mul += args[i][1] - 1
-                stack.append(args[i][0])
-        return mul, add
+        return _op_count(self.kinds, self.args, self.roots)
 
     def compact(self) -> Dag:
         """Rebuild reachable nodes in topological order with fresh ids."""
@@ -353,7 +325,7 @@ class _Rewriter:
                     args.append(arg)
                     index[key] = j
                 remap[i] = j
-        return Dag(kinds, args, [remap[r] for r in self.roots], index)
+        return Dag(kinds, args, [remap[r] for r in self.roots])
 
 
 def eliminate_pairs(d: Dag) -> Dag:
@@ -369,42 +341,41 @@ def eliminate_pairs(d: Dag) -> Dag:
 
 
 def dag_op_count(d: Dag) -> OpCount:
-    """Operation count with every shared node counted exactly once.
+    """Operation count with every shared node counted exactly once."""
+    mul, add = _op_count(d.kinds, d.args, d.roots)
+    return OpCount(mul=mul, add=add)
+
+
+def _op_count(kinds, args, roots) -> tuple[int, int]:
+    """(mul, add) over the nodes reachable from *roots*, each counted once.
 
     Same conventions as the tree count: k-ary add/mul nodes cost k-1, a
     power costs exp-1, and a +-1 constant factor inside a product is free.
     """
-    reachable = _reachable(d)
     mul = add = 0
-    for i in reachable:
-        k = d.kinds[i]
-        if k == K_SUM:
-            add += len(d.args[i]) - 1
-        elif k == K_PROD:
-            ch = d.args[i]
-            free = sum(
-                1 for c in ch if d.kinds[c] == K_CONST and abs(d.args[c][0]) == 1
-            )
-            mul += len(ch) - 1 - free
-        elif k == K_POW:
-            mul += d.args[i][1] - 1
-    return OpCount(mul=mul, add=add)
-
-
-def _reachable(d: Dag) -> set[int]:
     seen: set[int] = set()
-    stack = list(d.roots)
+    stack = list(roots)
     while stack:
         i = stack.pop()
         if i in seen:
             continue
         seen.add(i)
-        k = d.kinds[i]
-        if k in _AC:
-            stack.extend(d.args[i])
+        k = kinds[i]
+        if k == K_SUM:
+            add += len(args[i]) - 1
+            stack.extend(args[i])
+        elif k == K_PROD:
+            ch = args[i]
+            free = 0
+            for c in ch:
+                if kinds[c] == K_CONST and args[c][0] in (1, -1):
+                    free += 1
+            mul += len(ch) - 1 - free
+            stack.extend(ch)
         elif k == K_POW:
-            stack.append(d.args[i][0])
-    return seen
+            mul += args[i][1] - 1
+            stack.append(args[i][0])
+    return mul, add
 
 
 def eval_dag_mod_p(d: Dag, assignment: dict[int, int], p: int) -> int:
@@ -458,7 +429,136 @@ def dag_listing(d: Dag, atoms: AtomTable) -> str:
 # ---------------------------------------------------------------------------
 
 
+class DeltaScorer:
+    """Horner builds and memoized scores for one fixed expression.
+
+    Terms are packed once as dense exponent vectors over ``variables(e)``.
+    Counts are cached per effective order, so re-scoring a revisited path
+    is a dictionary lookup.
+    """
+
+    def __init__(self, e: Expression):
+        self.var_ids = variables(e)
+        self._pos = {a: i for i, a in enumerate(self.var_ids)}
+        n = len(self.var_ids)
+        packed = []
+        for t in e.terms:
+            dense = [0] * n
+            for a, exp in t.exponents:
+                dense[self._pos[a]] = exp
+            packed.append((t.coeff, tuple(dense)))
+        self._terms = packed
+        self.cache: dict[tuple[int, ...], tuple[int, int]] = {}
+
+    def delta(self, order: tuple[int, ...]) -> tuple[int, int]:
+        """(mul, add) after Horner with this effective order plus elimination.
+
+        ``order`` is a tuple of atom ids, already direction-adjusted.
+        """
+        hit = self.cache.get(order)
+        if hit is None:
+            rw = self.build(order)
+            rw.run()
+            hit = self.cache[order] = rw.live_op_count()
+        return hit
+
+    def build(self, order: tuple[int, ...]) -> _Rewriter:
+        """Arena of the Horner form for this effective order, before elimination.
+
+        Same nodes and ids as ``build_dag(apply_scheme(...))``. Sums and
+        products stay open (tagged child-id lists) until their parent interns
+        them, so nested ones flatten as in the tree.
+        """
+        var_ids = self.var_ids
+        kinds: list[int] = []
+        args: list = []
+        index: dict = {}
+
+        def intern(key, kind, arg) -> int:
+            i = index.get(key)
+            if i is None:
+                i = len(kinds)
+                kinds.append(kind)
+                args.append(arg)
+                index[key] = i
+            return i
+
+        def const_node(c: int) -> int:
+            return intern((K_CONST, c), K_CONST, (c,))
+
+        def factor_node(v: int, e: int) -> int:
+            a = var_ids[v]
+            b = intern((K_VAR, a), K_VAR, (a,))
+            if e == 1:
+                return b
+            return intern((K_POW, b, e), K_POW, (b, e))
+
+        def finalize(val) -> int:
+            if isinstance(val, int):
+                return val
+            tag, parts = val
+            kind = K_PROD if tag == "p" else K_SUM
+            ch = sorted(parts)
+            return intern((kind, tuple(ch)), kind, ch)
+
+        def flattened(val, tag) -> list[int]:
+            """Ids *val* adds to an open *tag* node; a same-tag open node flattens."""
+            if type(val) is tuple and val[0] == tag:
+                return val[1]
+            return [finalize(val)]
+
+        def monomial(t):
+            c, exps = t
+            if not any(exps):
+                return const_node(c)
+            parts = [const_node(c)] if c != 1 else []
+            parts += [factor_node(v, e) for v, e in enumerate(exps) if e]
+            return parts[0] if len(parts) == 1 else ("p", parts)
+
+        def horner(terms, order):
+            if len(terms) == 1:
+                return monomial(terms[0])
+            for v in order:
+                cnt = 0
+                for t in terms:
+                    if t[1][v]:
+                        cnt += 1
+                        if cnt == 2:
+                            break
+                if cnt < 2:
+                    continue
+                with_v = []
+                rest = []
+                for t in terms:
+                    (with_v if t[1][v] else rest).append(t)
+                # Interning order follows the tree walk: the variable-free
+                # addend first, then the extracted factor, then the quotient.
+                addends = flattened(horner(rest, order), "s") if rest else []
+                e = min(t[1][v] for t in with_v)
+                fid = factor_node(v, e)
+                quotient = [(c, x[:v] + (x[v] - e,) + x[v + 1 :]) for c, x in with_v]
+                parts = [fid] + flattened(horner(quotient, order), "p")
+                if not rest:
+                    return ("p", parts)
+                addends.append(finalize(("p", parts)))
+                return ("s", addends)
+            return ("s", [finalize(monomial(t)) for t in terms])
+
+        pos = self._pos
+        if self._terms:
+            root = finalize(horner(self._terms, tuple(pos[a] for a in order)))
+        else:
+            root = const_node(0)
+        return _Rewriter(kinds, args, [root])
+
+
 def simplify(e: Expression, s: Scheme) -> SimplifyResult:
-    """Horner scheme, then sharing and pair extraction; ops is the score."""
-    dag = eliminate_pairs(build_dag(apply_scheme(e, s)))
+    """Horner scheme, then sharing and pair extraction; ops is the score.
+
+    Raises ValueError if the scheme names an atom absent from *e*.
+    """
+    check_scheme(e, s)
+    rw = DeltaScorer(e).build(effective_order(s))
+    rw.run()
+    dag = rw.compact()
     return SimplifyResult(dag=dag, ops=dag_op_count(dag), scheme=s)

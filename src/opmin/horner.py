@@ -129,13 +129,8 @@ def effective_order(s: Scheme) -> tuple[int, ...]:
     return s.order
 
 
-def apply_scheme(e: Expression, s: Scheme) -> object:
-    """Rewrite *e* as a nested tree following scheme *s*.
-
-    Raises ValueError if the scheme names an atom absent from *e*. Variables
-    not in the scheme are never extracted; with an empty scheme the result is
-    the flat sum-of-products tree.
-    """
+def check_scheme(e: Expression, s: Scheme) -> None:
+    """Raise ValueError if the scheme names an atom absent from *e*."""
     present = set(variables(e))
     for a in s.order:
         if a not in present:
@@ -143,6 +138,16 @@ def apply_scheme(e: Expression, s: Scheme) -> object:
                 f"scheme atom {e.atoms.text(a) if a < len(e.atoms) else a!r}"
                 " does not occur in the expression"
             )
+
+
+def apply_scheme(e: Expression, s: Scheme) -> object:
+    """Rewrite *e* as a nested tree following scheme *s*.
+
+    Raises ValueError if the scheme names an atom absent from *e*. Variables
+    not in the scheme are never extracted; with an empty scheme the result is
+    the flat sum-of-products tree.
+    """
+    check_scheme(e, s)
     if not e.terms:
         return Const(0)
     packed = [(t.coeff, dict(t.exponents)) for t in e.terms]

@@ -3,9 +3,10 @@
 Each tree node fixes one more variable of the scheme; a playout completes
 the partial order with a uniformly random permutation of the unused
 variables and scores the full scheme by the total operation count after
-Horner and elimination. Selection uses the UCT rule, optionally with a
-decaying exploration temperature in place of the constant (SA-UCT): early
-iterations explore broadly, late ones deepen the best branch.
+Horner and elimination. Selection uses the UCT rule with an exploration
+temperature that follows a schedule (SA-UCT): with a decaying schedule early
+iterations explore broadly and late ones deepen the best branch; with the
+constant schedule SA-UCT is plain UCT.
 
 The best score ever seen is tracked over complete playout paths, which may
 extend beyond the stored tree. All randomness flows through one seeded
@@ -17,19 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from itertools import permutations
 
 import numpy as np
 
+from .cse import DeltaScorer
 from .expr import Expression, OpCount, naive_op_count, variables
 from .horner import Direction, Scheme
-from .score import DeltaScorer
-
-
-class Criterion(Enum):
-    UCT = "uct"
-    SA_UCT = "sa-uct"
 
 
 @dataclass(frozen=True)
@@ -68,6 +63,11 @@ class Schedule:
             return cls.exponential(float(text[4:]))
         raise ValueError(f"unknown schedule {text!r}")
 
+    @property
+    def criterion(self) -> str:
+        """Output label: "uct" for the constant schedule, else "sa-uct"."""
+        return "uct" if self.kind == self.CONSTANT else "sa-uct"
+
     def __str__(self) -> str:
         if self.kind == self.EXPONENTIAL:
             return f"exp:{self.half_life:g}"
@@ -79,7 +79,6 @@ class SearchParams:
     cp: float
     n_updates: int
     repeats: int = 1
-    criterion: Criterion = Criterion.SA_UCT
     schedule: Schedule = Schedule.linear()
     direction: Direction = Direction.FORWARD
     seed: int = 0
@@ -141,13 +140,6 @@ def temperature(i: int, params: SearchParams) -> float:
     return params.cp
 
 
-def _iteration_temperature(i: int, params: SearchParams) -> float:
-    # Plain UCT keeps the constant; SA-UCT follows the schedule.
-    if params.criterion is Criterion.UCT:
-        return params.cp
-    return temperature(i, params)
-
-
 def node_score(c: Node, naive_total: int) -> float:
     """Normalized quality: naive ops divided by the mean playout ops.
 
@@ -184,7 +176,7 @@ def best_child(s: Node, t: float, naive_total: int, rng) -> Node:
 
 def run_iteration(state: SearchState, i: int, params: SearchParams, rng) -> int:
     """One select/expand/simulate/backpropagate cycle; returns the playout score."""
-    t = _iteration_temperature(i, params)
+    t = temperature(i, params)
     naive_total = state.naive_total
     node = state.root
     path = [node]
@@ -311,7 +303,7 @@ def result_to_json_dict(result: SearchResult, params: SearchParams, atoms) -> di
         "best_add": result.best_delta.add,
         "scheme": ",".join(atoms.text(a) for a in result.best_scheme.order),
         "direction": params.direction.value,
-        "criterion": params.criterion.value,
+        "criterion": params.schedule.criterion,
         "cp": params.cp,
         "n_updates": params.n_updates,
         "repeats": params.repeats,

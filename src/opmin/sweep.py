@@ -22,8 +22,8 @@ import numpy as np
 
 from .expr import Expression
 from .horner import Direction
-from .mcts import Criterion, Schedule, SearchParams, search
-from .score import DeltaScorer
+from .cse import DeltaScorer
+from .mcts import Schedule, SearchParams, search
 
 CSV_HEADER = [
     "sample",
@@ -48,7 +48,6 @@ class SweepConfig:
     cp_max: float
     samples: int
     n_updates: int
-    criterion: Criterion = Criterion.SA_UCT
     direction: Direction = Direction.FORWARD
     schedule: Schedule = Schedule.linear()
     base_seed: int = 0
@@ -88,7 +87,6 @@ def _run_sample(e: Expression, config: SweepConfig, k: int, cp: float, scorer) -
         cp=cp,
         n_updates=config.n_updates,
         repeats=1,  # each dot is a single MCTS run
-        criterion=config.criterion,
         schedule=config.schedule,
         direction=config.direction,
         seed=config.base_seed + k,
@@ -97,7 +95,7 @@ def _run_sample(e: Expression, config: SweepConfig, k: int, cp: float, scorer) -
     return SweepRow(
         sample_index=k,
         cp=cp,
-        criterion=config.criterion.value,
+        criterion=config.schedule.criterion,
         n_updates=config.n_updates,
         direction=config.direction.value,
         seed=params.seed,

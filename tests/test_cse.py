@@ -188,6 +188,20 @@ def scheme_for(e, names):
     return Scheme(tuple(e.atoms.id_of(n) for n in names))
 
 
+def node_id(d: Dag, kind, arg) -> int:
+    """Id of the node with this kind and args."""
+    return next(i for i in range(d.node_count) if d.kinds[i] == kind and tuple(d.args[i]) == tuple(arg))
+
+
+def parents_of(d: Dag, i: int) -> list[int]:
+    """Ids of nodes referring to *i*."""
+    out = []
+    for j, (k, a) in enumerate(zip(d.kinds, d.args)):
+        if (k in _AC and i in a) or (k == K_POW and a[0] == i):
+            out.append(j)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # build_dag
 # ---------------------------------------------------------------------------
@@ -200,8 +214,8 @@ class TestBuildDag:
         d = build_dag(tree)
         assert d.node_count == len(unique_subtrees(tree)) == 9
         x = e.atoms.id_of("x")
-        x_node = d.index[(3, x)]  # K_VAR key
-        kinds_of_parents = {d.kinds[j] for j in d.parents_of(x_node)}
+        x_node = node_id(d, 3, (x,))  # K_VAR node
+        kinds_of_parents = {d.kinds[j] for j in parents_of(d, x_node)}
         assert kinds_of_parents == {K_POW, K_PROD}
 
     def test_identical_subtrees_shared(self):
@@ -209,8 +223,8 @@ class TestBuildDag:
         tree = Sum((Product((Var(2), shared)), Product((Var(3), Sum((Var(0), Var(1)))))))
         d = build_dag(tree)
         sum_ids = [i for i in range(d.node_count) if d.kinds[i] == K_SUM and len(d.args[i]) == 2 and d.kinds[d.args[i][0]] == 3]
-        inner = d.index[(K_SUM, tuple(sorted((d.index[(3, 0)], d.index[(3, 1)]))))]
-        assert len(d.parents_of(inner)) == 2
+        inner = node_id(d, K_SUM, sorted((node_id(d, 3, (0,)), node_id(d, 3, (1,)))))
+        assert len(parents_of(d, inner)) == 2
 
     def test_single_atom(self):
         assert build_dag(Var(0)).node_count == 1
@@ -236,8 +250,8 @@ class TestEliminatePairs:
         # T = sin(x)+cos(x) is computed once and referenced twice
         s, c = e.atoms.id_of("sin(x)"), e.atoms.id_of("cos(x)")
         d = res.dag
-        t = d.index[(K_SUM, tuple(sorted((d.index[(3, s)], d.index[(3, c)]))))]
-        assert len(d.parents_of(t)) == 2
+        t = node_id(d, K_SUM, sorted((node_id(d, 3, (s,)), node_id(d, 3, (c,)))))
+        assert len(parents_of(d, t)) == 2
 
     def test_no_repeated_pair_unchanged(self):
         e = parse(WORKED)
@@ -256,7 +270,7 @@ class TestEliminatePairs:
                 if ch_kinds == {3}:
                     pair_id = i
         assert pair_id is not None
-        assert len(d.parents_of(pair_id)) == 2
+        assert len(parents_of(d, pair_id)) == 2
         assert dag_op_count(d) == OpCount(mul=1, add=3)
 
     def test_idempotent(self):
@@ -314,7 +328,7 @@ def build_dag_from_dag(d: Dag) -> Dag:
             args.append(arg)
             index[key] = j
         remap[i] = j
-    return Dag(kinds, args, [remap[r] for r in d.roots], index)
+    return Dag(kinds, args, [remap[r] for r in d.roots])
 
 
 # ---------------------------------------------------------------------------

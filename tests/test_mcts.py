@@ -6,9 +6,9 @@ import pytest
 
 from opmin.expr import OpCount, naive_op_count, parse, variables
 from opmin.horner import Direction, Scheme
-from opmin.cse import simplify
+from opmin import mcts
+from opmin.cse import DeltaScorer, simplify
 from opmin.mcts import (
-    Criterion,
     Node,
     Schedule,
     SearchParams,
@@ -22,7 +22,6 @@ from opmin.mcts import (
     search,
     temperature,
 )
-from opmin.score import DeltaScorer
 from opmin.benchgen import RandomExprParams, random_expr
 
 from test_expr import WORKED
@@ -216,8 +215,8 @@ class TestSearch:
         e = parse(WORKED)
         oracle = brute_force_oracle(e)
         assert oracle == 6
-        for criterion in (Criterion.UCT, Criterion.SA_UCT):
-            res = search(e, params(n_updates=40, criterion=criterion, seed=3))
+        for schedule in (Schedule.constant(), Schedule.linear()):  # UCT, SA-UCT
+            res = search(e, params(n_updates=40, schedule=schedule, seed=3))
             assert res.best_delta.total == 6
 
     def test_single_update_equals_single_playout(self):
@@ -226,15 +225,17 @@ class TestSearch:
         assert res.iterations_run == 1
         assert res.deltas_per_iteration == [res.best_delta.total]
 
-    def test_constant_schedule_reproduces_uct_trace(self):
+    def test_constant_schedule_reproduces_uct_trace(self, monkeypatch):
         e = five_var_expr()
         for seed in range(50):
-            uct = search(e, params(n_updates=60, criterion=Criterion.UCT, seed=seed))
+            with monkeypatch.context() as m:
+                # Plain UCT: the exploration constant at every iteration.
+                m.setattr(mcts, "temperature", lambda i, p: p.cp)
+                uct = search(e, params(n_updates=60, seed=seed))
             sa = search(
                 e,
                 params(
                     n_updates=60,
-                    criterion=Criterion.SA_UCT,
                     schedule=Schedule.constant(),
                     seed=seed,
                 ),

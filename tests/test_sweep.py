@@ -6,7 +6,7 @@ import pytest
 
 from opmin.expr import parse, variables
 from opmin.horner import Direction
-from opmin.mcts import Criterion, Schedule, SearchParams, brute_force_search, search
+from opmin.mcts import Schedule, SearchParams, brute_force_search, search
 from opmin.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -31,7 +31,6 @@ def small_config(**kw):
         cp_max=10.0,
         samples=12,
         n_updates=25,
-        criterion=Criterion.SA_UCT,
         direction=Direction.FORWARD,
         schedule=Schedule.linear(),
         base_seed=7,
