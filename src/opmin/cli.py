@@ -21,11 +21,9 @@ from .expr import ParseError, naive_op_count, parse, to_string
 from .horner import (
     Direction,
     Scheme,
-    apply_scheme,
     occurrence_order,
     scheme_from_string,
     scheme_to_string,
-    tree_op_count,
 )
 from .mcts import (
     Schedule,
@@ -148,13 +146,12 @@ def cmd_simplify(args) -> int:
         if ";" not in args.scheme:
             scheme = Scheme(scheme.order, direction)
     naive = naive_op_count(e)
-    horner_count = tree_op_count(apply_scheme(e, scheme))
     result = simplify(e, scheme)
     listing = dag_listing(result.dag, e.atoms)
     if args.format == "json":
         doc = {
             "naive": _ops_json(naive),
-            "horner": _ops_json(horner_count),
+            "horner": _ops_json(result.horner_ops),
             "cse": _ops_json(result.ops),
             "scheme": scheme_to_string(scheme, e.atoms),
             "dag": listing.split("\n"),
@@ -162,7 +159,7 @@ def cmd_simplify(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         print(f"naive:  {naive}")
-        print(f"horner: {horner_count}")
+        print(f"horner: {result.horner_ops}")
         print(f"cse:    {result.ops}")
         print(f"scheme: {scheme_to_string(scheme, e.atoms)}")
         print("dag:")

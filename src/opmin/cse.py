@@ -7,6 +7,13 @@ extracts the child pair that occurs under the most same-operator nodes,
 materializing it as a shared node; this exposes partial overlaps between
 wide sums/products that hash-consing alone cannot see.
 
+The rewriter keeps the pair counts incremental. A lazy min-heap of ranks
+``(-count, a, b, kind)`` gets a new entry whenever a pair's count changes;
+entries whose count no longer matches are stale and are dropped when they
+reach the top. A rewrite that changes the multiplicity of a few child
+values (the *touched* ones) updates only the pairs involving them, so
+replacing two children of a k-ary node costs O(k), not O(k^2).
+
 Production path: ``DeltaScorer.build`` interns the Horner form straight
 into a rewriter arena, then ``run`` and a count; ``simplify`` also returns
 the compacted DAG, and ``DeltaScorer.delta`` (the search's playout score)
@@ -19,6 +26,7 @@ this node for node on random inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from .expr import AtomTable, Expression, OpCount, variables
 from .horner import Const, Power, Scheme, Sum, Var, check_scheme, effective_order
 
@@ -52,6 +60,7 @@ class SimplifyResult:
     dag: Dag
     ops: OpCount
     scheme: Scheme
+    horner_ops: OpCount  # the Horner form before sharing and elimination
 
 
 # ---------------------------------------------------------------------------
@@ -105,26 +114,68 @@ class _Rewriter:
     Rewrites keep node ids stable (new nodes are appended), so pair
     tie-breaking by id is well defined across iterations. Merging a node
     into a structurally identical one rewires all parents, which may cascade.
+
+    ``pair_nodes[(kind, a, b)]`` holds the alive add/mul nodes whose sorted
+    child list contains the pair a <= b (a == b when a occurs twice), and
+    ``parents[c]`` the alive nodes that have c as a child. ``heap`` is a
+    min-heap of ranks ``(-count, a, b, kind)``: an entry is pushed whenever
+    a pair's node set changes size and still has two or more nodes, and is
+    never updated in place. An entry whose count differs from the set's
+    current size is stale; ``best_pair`` pops stale entries off the top, so
+    the top entry it returns is the minimum rank over all repeated pairs.
+
+    ``_set_children(n, newch, touched)`` takes the child values whose
+    multiplicity changed: the pair and the new node in ``extract``, the old
+    and the new id in ``_merge``. A pair of n that involves no touched value
+    is in both the old and the new list, so only the pairs and parents of
+    touched values are updated; all of n's pairs go only when n dies.
     """
 
-    def __init__(self, kinds: list, args: list, roots: list):
+    def __init__(self, kinds: list, args: list, roots: list, index: dict | None = None):
         # Takes ownership of the arena lists; AC args must be sorted lists.
+        # *index* maps ``_key(i)`` to i for every node; built if not given.
         self.kinds = kinds
         self.args = args
         self.alive = [True] * len(kinds)
         self.roots = roots
-        self.index = {}
+        if index is None:
+            index = {self._key(i): i for i in range(len(kinds))}
+        self.index = index
         self.parents: list[set[int]] = [set() for _ in kinds]
         self.pair_nodes: dict[tuple, set[int]] = {}
-        self.hot: set[tuple] = set()  # pair keys currently occurring >= 2 times
-        for i, (k, a) in enumerate(zip(kinds, args)):
-            self.index[self._key(i)] = i
-            if k in _AC:
-                for c in set(a):
-                    self.parents[c].add(i)
-                self._register_pairs(i)
-            elif k == K_POW:
-                self.parents[a[0]].add(i)
+        pair_nodes = self.pair_nodes
+        repeated = []  # keys whose node set reached 2
+        for i, (k, ch) in enumerate(zip(kinds, args)):
+            if k == K_POW:
+                self.parents[ch[0]].add(i)
+                continue
+            if k not in _AC:
+                continue
+            for c in set(ch):
+                self.parents[c].add(i)
+            # Children are sorted, so duplicate pairs occur in runs and can
+            # be skipped without materializing a set.
+            n = len(ch)
+            for x in range(n - 1):
+                cx = ch[x]
+                if x and cx == ch[x - 1]:
+                    continue
+                prev = -1
+                for y in range(x + 1, n):
+                    cy = ch[y]
+                    if cy == prev:
+                        continue
+                    prev = cy
+                    key = (k, cx, cy)
+                    s = pair_nodes.get(key)
+                    if s is None:
+                        pair_nodes[key] = {i}
+                    else:
+                        s.add(i)
+                        if len(s) == 2:
+                            repeated.append(key)
+        self.heap = [(-len(pair_nodes[k, a, b]), a, b, k) for k, a, b in repeated]
+        heapify(self.heap)
 
     @classmethod
     def from_dag(cls, d: Dag) -> "_Rewriter":
@@ -136,67 +187,80 @@ class _Rewriter:
         a = self.args[i]
         return (k, tuple(a)) if k in _AC else (k,) + tuple(a)
 
-    def _register_pairs(self, i):
-        # Children are sorted, so duplicate pairs occur in runs and can be
-        # skipped without materializing a set.
-        k = self.kinds[i]
-        ch = self.args[i]
-        n = len(ch)
+    # _add_pairs and _drop_pairs enumerate the same pairs; the loop is
+    # written out in each because a shared generator costs about 5% of a
+    # hep-like-22 evaluation.
+
+    def _add_pairs(self, n, ch, touched):
+        """Add n to the pairs of its sorted child list *ch* that involve a touched value."""
+        k = self.kinds[n]
         pair_nodes = self.pair_nodes
-        hot = self.hot
-        for x in range(n - 1):
-            cx = ch[x]
-            if x and cx == ch[x - 1]:
+        heap = self.heap
+        for t in touched:
+            if t not in ch:
                 continue
             prev = -1
-            for y in range(x + 1, n):
-                cy = ch[y]
-                if cy == prev:
+            for y in ch:
+                if y == prev:
                     continue
-                prev = cy
-                key = (k, cx, cy)
+                prev = y
+                if y == t:
+                    if ch.count(t) < 2:
+                        continue
+                    key = (k, t, t)
+                elif y < t:
+                    if y in touched:
+                        continue  # (y, t) is added when y is the touched value
+                    key = (k, y, t)
+                else:
+                    key = (k, t, y)
                 s = pair_nodes.get(key)
                 if s is None:
-                    pair_nodes[key] = {i}
+                    pair_nodes[key] = {n}
                 else:
-                    s.add(i)
-                    if len(s) == 2:
-                        hot.add(key)
+                    s.add(n)
+                    if len(s) >= 2:
+                        heappush(heap, (-len(s), key[1], key[2], k))
 
-    def _unregister_pairs(self, i):
-        k = self.kinds[i]
-        ch = self.args[i]
-        n = len(ch)
+    def _drop_pairs(self, n, ch, touched):
+        """Remove n from the pairs of its sorted child list *ch* that involve a touched value."""
+        k = self.kinds[n]
         pair_nodes = self.pair_nodes
-        hot = self.hot
-        for x in range(n - 1):
-            cx = ch[x]
-            if x and cx == ch[x - 1]:
+        heap = self.heap
+        for t in touched:
+            if t not in ch:
                 continue
             prev = -1
-            for y in range(x + 1, n):
-                cy = ch[y]
-                if cy == prev:
+            for y in ch:
+                if y == prev:
                     continue
-                prev = cy
-                s = pair_nodes.get((k, cx, cy))
-                if s is not None:
-                    s.discard(i)
-                    if len(s) < 2:
-                        hot.discard((k, cx, cy))
+                prev = y
+                if y == t:
+                    if ch.count(t) < 2:
+                        continue
+                    key = (k, t, t)
+                elif y < t:
+                    if y in touched:
+                        continue  # (y, t) is dropped when y is the touched value
+                    key = (k, y, t)
+                else:
+                    key = (k, t, y)
+                s = pair_nodes[key]
+                s.discard(n)
+                if len(s) >= 2:
+                    heappush(heap, (-len(s), key[1], key[2], k))
 
     def best_pair(self):
         """Most frequent (operator, child pair); ties to smallest ids, add first."""
-        best = None
-        best_rank = None
-        for key in self.hot:
-            n = len(self.pair_nodes[key])
-            k, a, b = key
-            rank = (-n, a, b, k)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best = key
-        return best
+        heap = self.heap
+        pair_nodes = self.pair_nodes
+        while heap:
+            neg, a, b, k = heap[0]
+            key = (k, a, b)
+            if len(pair_nodes[key]) == -neg:
+                return key
+            heappop(heap)
+        return None
 
     def extract(self, key) -> None:
         kind, a, b = key
@@ -212,7 +276,8 @@ class _Rewriter:
             self.index[pkey] = p
             self.parents[a].add(p)
             self.parents[b].add(p)
-            self._register_pairs(p)
+            self._add_pairs(p, [a, b], (a,))
+        touched = {a, b, p}
         for n in targets:
             if n == p or not self.alive[n]:
                 continue
@@ -227,27 +292,38 @@ class _Rewriter:
             newch.remove(b)
             newch.append(p)
             newch.sort()
-            self._set_children(n, newch)
+            self._set_children(n, newch, touched)
 
-    def _set_children(self, n, newch):
-        """Replace n's child list; collapse singletons and merge duplicates."""
+    def _set_children(self, n, newch, touched):
+        """Replace n's child list; collapse singletons and merge duplicates.
+
+        *touched* holds every child value whose multiplicity differs between
+        the old and the new list (it may hold more).
+        """
+        old = self.args[n]
         del self.index[self._key(n)]
-        self._unregister_pairs(n)
-        for c in set(self.args[n]):
-            self.parents[c].discard(n)
         self.args[n] = newch
         if len(newch) == 1:
-            self._merge(n, newch[0])
-            return
-        key = self._key(n)
-        m = self.index.get(key)
-        if m is not None and self.alive[m] and m != n:
-            self._merge(n, m)
-            return
-        self.index[key] = n
-        for c in set(newch):
-            self.parents[c].add(n)
-        self._register_pairs(n)
+            m = newch[0]
+        else:
+            key = self._key(n)
+            m = self.index.get(key)
+            if m is None or not self.alive[m] or m == n:
+                self.index[key] = n
+                self._drop_pairs(n, old, touched)
+                self._add_pairs(n, newch, touched)
+                parents = self.parents
+                for t in touched:
+                    if t in newch:
+                        parents[t].add(n)
+                    else:
+                        parents[t].discard(n)
+                return
+        dead = set(old)
+        self._drop_pairs(n, old, dead)
+        for c in dead:
+            self.parents[c].discard(n)
+        self._merge(n, m)
 
     def _set_pow_base(self, n, newbase):
         del self.index[self._key(n)]
@@ -269,7 +345,9 @@ class _Rewriter:
             if not self.alive[q]:
                 continue
             if self.kinds[q] in _AC:
-                self._set_children(q, sorted(m if c == n else c for c in self.args[q]))
+                self._set_children(
+                    q, sorted(m if c == n else c for c in self.args[q]), (n, m)
+                )
             else:
                 self._set_pow_base(q, m)
         self.parents[n] = set()
@@ -285,6 +363,28 @@ class _Rewriter:
     def live_op_count(self) -> tuple[int, int]:
         """(mul, add) over nodes reachable from the roots."""
         return _op_count(self.kinds, self.args, self.roots)
+
+    def occurrence_op_count(self) -> tuple[int, int]:
+        """(mul, add) of the tree this arena unfolds to: no sharing.
+
+        A node counts once per path from a root, as ``tree_op_count`` counts
+        the Horner tree. Valid before ``run`` only, while every child id is
+        below its parents' ids.
+        """
+        kinds, args = self.kinds, self.args
+        mult = [0] * len(kinds)
+        for r in self.roots:
+            mult[r] += 1
+        for i in range(len(kinds) - 1, -1, -1):
+            m = mult[i]
+            if m:
+                k = kinds[i]
+                if k in _AC:
+                    for c in args[i]:
+                        mult[c] += m
+                elif k == K_POW:
+                    mult[args[i][0]] += m
+        return _cost(kinds, args, {i: m for i, m in enumerate(mult) if m})
 
     def compact(self) -> Dag:
         """Rebuild reachable nodes in topological order with fresh ids."""
@@ -347,12 +447,7 @@ def dag_op_count(d: Dag) -> OpCount:
 
 
 def _op_count(kinds, args, roots) -> tuple[int, int]:
-    """(mul, add) over the nodes reachable from *roots*, each counted once.
-
-    Same conventions as the tree count: k-ary add/mul nodes cost k-1, a
-    power costs exp-1, and a +-1 constant factor inside a product is free.
-    """
-    mul = add = 0
+    """(mul, add) over the nodes reachable from *roots*, each counted once."""
     seen: set[int] = set()
     stack = list(roots)
     while stack:
@@ -361,20 +456,33 @@ def _op_count(kinds, args, roots) -> tuple[int, int]:
             continue
         seen.add(i)
         k = kinds[i]
-        if k == K_SUM:
-            add += len(args[i]) - 1
+        if k in _AC:
             stack.extend(args[i])
+        elif k == K_POW:
+            stack.append(args[i][0])
+    return _cost(kinds, args, dict.fromkeys(seen, 1))
+
+
+def _cost(kinds, args, weights: dict[int, int]) -> tuple[int, int]:
+    """(mul, add) of the nodes in *weights*, each counted weights[i] times.
+
+    Same conventions as the tree count: k-ary add/mul nodes cost k-1, a
+    power costs exp-1, and a +-1 constant factor inside a product is free.
+    """
+    mul = add = 0
+    for i, w in weights.items():
+        k = kinds[i]
+        if k == K_SUM:
+            add += w * (len(args[i]) - 1)
         elif k == K_PROD:
             ch = args[i]
             free = 0
             for c in ch:
                 if kinds[c] == K_CONST and args[c][0] in (1, -1):
                     free += 1
-            mul += len(ch) - 1 - free
-            stack.extend(ch)
+            mul += w * (len(ch) - 1 - free)
         elif k == K_POW:
-            mul += args[i][1] - 1
-            stack.append(args[i][0])
+            mul += w * (args[i][1] - 1)
     return mul, add
 
 
@@ -549,7 +657,7 @@ class DeltaScorer:
             root = finalize(horner(self._terms, tuple(pos[a] for a in order)))
         else:
             root = const_node(0)
-        return _Rewriter(kinds, args, [root])
+        return _Rewriter(kinds, args, [root], index)
 
 
 def simplify(e: Expression, s: Scheme) -> SimplifyResult:
@@ -559,6 +667,7 @@ def simplify(e: Expression, s: Scheme) -> SimplifyResult:
     """
     check_scheme(e, s)
     rw = DeltaScorer(e).build(effective_order(s))
+    horner_ops = OpCount(*rw.occurrence_op_count())
     rw.run()
     dag = rw.compact()
-    return SimplifyResult(dag=dag, ops=dag_op_count(dag), scheme=s)
+    return SimplifyResult(dag=dag, ops=dag_op_count(dag), scheme=s, horner_ops=horner_ops)

@@ -129,6 +129,17 @@ class TestCriterionLabel:
         assert [r.split(",")[col] for r in rows] == ["uct"] * 3
 
 
+def test_sweep_csv_does_not_depend_on_jobs(tmp_path, worked):
+    csv = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"jobs{jobs}.csv"
+        argv = ["sweep", worked, "--samples", "6", "--n-updates", "10", "--seed", "3"]
+        assert main([*argv, "--jobs", jobs, "--out", str(path)]) == 0
+        csv.append(path.read_bytes())
+    assert csv[0] == csv[1]
+    assert csv[0].count(b"\n") == 7  # header and one row per sample
+
+
 def test_closed_stdout_exits_quietly(worked):
     src = str(Path(opmin.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

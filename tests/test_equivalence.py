@@ -4,7 +4,8 @@ Production: ``DeltaScorer.build`` -> ``_Rewriter.run`` -> ``compact`` (for
 ``simplify``) or ``live_op_count`` (for ``DeltaScorer.delta``).
 Reference: ``apply_scheme`` -> ``build_dag`` -> ``eliminate_pairs`` ->
 ``dag_op_count``. The two must agree node for node, not only in the count:
-elimination breaks ties by node id.
+elimination breaks ties by node id. ``simplify``'s per-occurrence Horner
+count, taken from the arena, must equal ``tree_op_count`` of the tree.
 """
 
 import numpy as np
@@ -13,14 +14,15 @@ import pytest
 from opmin.benchgen import preset_expr, resultant_expr
 from opmin.cse import DeltaScorer, build_dag, dag_op_count, eliminate_pairs, simplify
 from opmin.expr import parse, variables
-from opmin.horner import Direction, Scheme, apply_scheme, effective_order
+from opmin.horner import Direction, Scheme, apply_scheme, effective_order, tree_op_count
 
 from test_expr import random_expression
 from test_horner import random_scheme
 
 
 def assert_paths_agree(e, s):
-    ref_in = build_dag(apply_scheme(e, s))
+    tree = apply_scheme(e, s)
+    ref_in = build_dag(tree)
     arena = DeltaScorer(e).build(effective_order(s))
     assert arena.kinds == list(ref_in.kinds)
     assert [tuple(a) for a in arena.args] == list(ref_in.args)
@@ -32,6 +34,7 @@ def assert_paths_agree(e, s):
     assert got.dag.args == ref.args
     assert got.dag.roots == ref.roots
     assert got.ops == dag_op_count(ref)
+    assert got.horner_ops == tree_op_count(tree)
     assert DeltaScorer(e).delta(effective_order(s)) == (got.ops.mul, got.ops.add)
 
 
