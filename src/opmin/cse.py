@@ -10,9 +10,12 @@ wide sums/products that hash-consing alone cannot see.
 The rewriter keeps the pair counts incremental. A lazy min-heap of ranks
 ``(-count, a, b, kind)`` gets a new entry whenever a pair's count changes;
 entries whose count no longer matches are stale and are dropped when they
-reach the top. A rewrite that changes the multiplicity of a few child
-values (the *touched* ones) updates only the pairs involving them, so
-replacing two children of a k-ary node costs O(k), not O(k^2).
+reach the top. Extracting a pair (a, b) replaces a and b by the pair's
+node p in every node that holds both; such a node changes only its pairs
+with a, b and p, so rewriting a k-ary node costs O(k), not O(k^2). On a
+Horner arena no rewrite can make two nodes identical, so there is nothing
+to merge; ``_Rewriter`` states the precondition and the proof, and raises
+ValueError on a DAG outside it.
 
 Production path: ``DeltaScorer.build`` interns the Horner form straight
 into a rewriter arena, then ``run`` and a count; ``simplify`` also returns
@@ -36,7 +39,7 @@ _KIND_NAMES = {K_SUM: "add", K_PROD: "mul", K_POW: "pow", K_VAR: "var", K_CONST:
 
 
 class Dag:
-    """Append-only node table; children always precede parents.
+    """Append-only node table; a child always precedes the nodes that use it.
 
     ``args[i]`` is a sorted child-id tuple for add/mul nodes, ``(base, exp)``
     for pow, ``(atom_id,)`` for var and ``(value,)`` for const. Completed
@@ -109,64 +112,69 @@ def build_dag(tree) -> Dag:
 
 
 class _Rewriter:
-    """Mutable DAG with incremental pair index and duplicate merging.
+    """Mutable arena for greedy pair extraction.
 
-    Rewrites keep node ids stable (new nodes are appended), so pair
-    tie-breaking by id is well defined across iterations. Merging a node
-    into a structurally identical one rewires all parents, which may cascade.
+    ``pair_nodes[(kind, a, b)]`` holds the add/mul nodes whose child list
+    contains the pair a < b. ``heap`` is a min-heap of ranks
+    ``(-count, a, b, kind)``: an entry is pushed whenever a pair's node set
+    changes size and still has two or more nodes, and is never updated in
+    place. An entry whose count differs from the set's current size is
+    stale; ``best_pair`` pops stale entries off the top, so the top entry it
+    returns is the minimum rank over all repeated pairs. ``index`` maps each
+    node's structural key to its id.
 
-    ``pair_nodes[(kind, a, b)]`` holds the alive add/mul nodes whose sorted
-    child list contains the pair a <= b (a == b when a occurs twice), and
-    ``parents[c]`` the alive nodes that have c as a child. ``heap`` is a
-    min-heap of ranks ``(-count, a, b, kind)``: an entry is pushed whenever
-    a pair's node set changes size and still has two or more nodes, and is
-    never updated in place. An entry whose count differs from the set's
-    current size is stale; ``best_pair`` pops stale entries off the top, so
-    the top entry it returns is the minimum rank over all repeated pairs.
+    Extracting (kind, a, b) is one rewrite: every node that holds both a
+    and b gets the node p = (kind, [a, b]) in their place. p is appended
+    unless it exists, so ids stay stable and tie-breaking by id is well
+    defined across iterations. A rewritten node n changes only its pairs
+    with a, b and p, so the rewrite costs O(k) for a k-ary n.
 
-    ``_set_children(n, newch, touched)`` takes the child values whose
-    multiplicity changed: the pair and the new node in ``extract``, the old
-    and the new id in ``_merge``. A pair of n that involves no touched value
-    is in both the old and the new list, so only the pairs and parents of
-    touched values are updated; all of n's pairs go only when n dies.
+    Precondition: every add/mul child list is strictly increasing, so no
+    node repeats a child, and no add/mul node has a child of its own kind.
+    Every arena ``DeltaScorer.build`` makes has both properties (sorted
+    interned children; open same-tag nodes are flattened), and so has
+    ``build_dag(apply_scheme(...))``, which is node for node the same. A
+    rewrite only ever gives a node the new child p, the node of the key
+    being extracted, so a node gets its first same-kind parent during its
+    own key's extraction. Hence:
+
+    1. A target never already holds p, so no child is ever repeated and
+       pairs (a, a) never occur.
+    2. No other node holds p either, so a rewritten node never becomes a
+       copy of another node, and no two nodes ever need merging.
+    3. No key is extracted twice: some node would first have to regain a
+       or b, which needs an earlier key to be extracted twice; induct on
+       the first such event.
+    4. A target never collapses to one child: its child list would have
+       to be [a, b], and then it is p.
+
+    ``__init__`` raises ValueError on a child list that is not strictly
+    increasing, and ``extract`` on a target that already holds p or that
+    the rewrite would make a copy of another node, so a ``Dag`` outside
+    the precondition fails loudly instead of miscounting.
     """
 
-    def __init__(self, kinds: list, args: list, roots: list, index: dict | None = None):
-        # Takes ownership of the arena lists; AC args must be sorted lists.
-        # *index* maps ``_key(i)`` to i for every node; built if not given.
+    def __init__(self, kinds: list, args: list, roots: list, index: dict):
+        # Takes ownership of the arena lists; AC args must be lists.
         self.kinds = kinds
         self.args = args
-        self.alive = [True] * len(kinds)
         self.roots = roots
-        if index is None:
-            index = {self._key(i): i for i in range(len(kinds))}
         self.index = index
-        self.parents: list[set[int]] = [set() for _ in kinds]
         self.pair_nodes: dict[tuple, set[int]] = {}
         pair_nodes = self.pair_nodes
         repeated = []  # keys whose node set reached 2
         for i, (k, ch) in enumerate(zip(kinds, args)):
-            if k == K_POW:
-                self.parents[ch[0]].add(i)
-                continue
             if k not in _AC:
                 continue
-            for c in set(ch):
-                self.parents[c].add(i)
-            # Children are sorted, so duplicate pairs occur in runs and can
-            # be skipped without materializing a set.
             n = len(ch)
             for x in range(n - 1):
                 cx = ch[x]
-                if x and cx == ch[x - 1]:
-                    continue
-                prev = -1
+                if cx >= ch[x + 1]:
+                    raise ValueError(
+                        f"node {i}: {_KIND_NAMES[k]} children {list(ch)} are not strictly increasing"
+                    )
                 for y in range(x + 1, n):
-                    cy = ch[y]
-                    if cy == prev:
-                        continue
-                    prev = cy
-                    key = (k, cx, cy)
+                    key = (k, cx, ch[y])
                     s = pair_nodes.get(key)
                     if s is None:
                         pair_nodes[key] = {i}
@@ -179,76 +187,15 @@ class _Rewriter:
 
     @classmethod
     def from_dag(cls, d: Dag) -> "_Rewriter":
-        args = [list(a) if k in _AC else a for k, a in zip(d.kinds, d.args)]
-        return cls(list(d.kinds), args, list(d.roots))
-
-    def _key(self, i):
-        k = self.kinds[i]
-        a = self.args[i]
-        return (k, tuple(a)) if k in _AC else (k,) + tuple(a)
-
-    # _add_pairs and _drop_pairs enumerate the same pairs; the loop is
-    # written out in each because a shared generator costs about 5% of a
-    # hep-like-22 evaluation.
-
-    def _add_pairs(self, n, ch, touched):
-        """Add n to the pairs of its sorted child list *ch* that involve a touched value."""
-        k = self.kinds[n]
-        pair_nodes = self.pair_nodes
-        heap = self.heap
-        for t in touched:
-            if t not in ch:
-                continue
-            prev = -1
-            for y in ch:
-                if y == prev:
-                    continue
-                prev = y
-                if y == t:
-                    if ch.count(t) < 2:
-                        continue
-                    key = (k, t, t)
-                elif y < t:
-                    if y in touched:
-                        continue  # (y, t) is added when y is the touched value
-                    key = (k, y, t)
-                else:
-                    key = (k, t, y)
-                s = pair_nodes.get(key)
-                if s is None:
-                    pair_nodes[key] = {n}
-                else:
-                    s.add(n)
-                    if len(s) >= 2:
-                        heappush(heap, (-len(s), key[1], key[2], k))
-
-    def _drop_pairs(self, n, ch, touched):
-        """Remove n from the pairs of its sorted child list *ch* that involve a touched value."""
-        k = self.kinds[n]
-        pair_nodes = self.pair_nodes
-        heap = self.heap
-        for t in touched:
-            if t not in ch:
-                continue
-            prev = -1
-            for y in ch:
-                if y == prev:
-                    continue
-                prev = y
-                if y == t:
-                    if ch.count(t) < 2:
-                        continue
-                    key = (k, t, t)
-                elif y < t:
-                    if y in touched:
-                        continue  # (y, t) is dropped when y is the touched value
-                    key = (k, y, t)
-                else:
-                    key = (k, t, y)
-                s = pair_nodes[key]
-                s.discard(n)
-                if len(s) >= 2:
-                    heappush(heap, (-len(s), key[1], key[2], k))
+        args = []
+        index = {}
+        for i, (k, a) in enumerate(zip(d.kinds, d.args)):
+            key = (k, tuple(a)) if k in _AC else (k,) + tuple(a)
+            if key in index:
+                raise ValueError(f"nodes {index[key]} and {i} are identical")
+            index[key] = i
+            args.append(list(a) if k in _AC else a)
+        return cls(list(d.kinds), args, list(d.roots), index)
 
     def best_pair(self):
         """Most frequent (operator, child pair); ties to smallest ids, add first."""
@@ -263,95 +210,50 @@ class _Rewriter:
         return None
 
     def extract(self, key) -> None:
+        """Replace a and b by p = (kind, [a, b]) in every node that holds both."""
         kind, a, b = key
-        targets = sorted(self.pair_nodes.get(key, ()))
+        index = self.index
+        args = self.args
         pkey = (kind, (a, b))
-        p = self.index.get(pkey)
+        p = index.get(pkey)
         if p is None:
             p = len(self.kinds)
             self.kinds.append(kind)
-            self.args.append([a, b])
-            self.alive.append(True)
-            self.parents.append(set())
-            self.index[pkey] = p
-            self.parents[a].add(p)
-            self.parents[b].add(p)
-            self._add_pairs(p, [a, b], (a,))
-        touched = {a, b, p}
-        for n in targets:
-            if n == p or not self.alive[n]:
+            args.append([a, b])
+            index[pkey] = p
+        pair_nodes = self.pair_nodes
+        heap = self.heap
+        for n in pair_nodes[key]:
+            if n == p:
                 continue
-            ch = self.args[n]
-            if a == b:
-                if ch.count(a) < 2:
-                    continue
-            elif a not in ch or b not in ch:
-                continue  # a cascade already rewrote this node
-            newch = list(ch)
-            newch.remove(a)
-            newch.remove(b)
-            newch.append(p)
-            newch.sort()
-            self._set_children(n, newch, touched)
-
-    def _set_children(self, n, newch, touched):
-        """Replace n's child list; collapse singletons and merge duplicates.
-
-        *touched* holds every child value whose multiplicity differs between
-        the old and the new list (it may hold more).
-        """
-        old = self.args[n]
-        del self.index[self._key(n)]
-        self.args[n] = newch
-        if len(newch) == 1:
-            m = newch[0]
-        else:
-            key = self._key(n)
-            m = self.index.get(key)
-            if m is None or not self.alive[m] or m == n:
-                self.index[key] = n
-                self._drop_pairs(n, old, touched)
-                self._add_pairs(n, newch, touched)
-                parents = self.parents
-                for t in touched:
-                    if t in newch:
-                        parents[t].add(n)
-                    else:
-                        parents[t].discard(n)
-                return
-        dead = set(old)
-        self._drop_pairs(n, old, dead)
-        for c in dead:
-            self.parents[c].discard(n)
-        self._merge(n, m)
-
-    def _set_pow_base(self, n, newbase):
-        del self.index[self._key(n)]
-        base, exp = self.args[n]
-        self.parents[base].discard(n)
-        self.args[n] = (newbase, exp)
-        key = self._key(n)
-        m = self.index.get(key)
-        if m is not None and self.alive[m] and m != n:
-            self._merge(n, m)
-            return
-        self.index[key] = n
-        self.parents[newbase].add(n)
-
-    def _merge(self, n, m):
-        """Alias n to the identical node m, rewiring every parent of n."""
-        self.alive[n] = False
-        for q in sorted(self.parents[n]):
-            if not self.alive[q]:
-                continue
-            if self.kinds[q] in _AC:
-                self._set_children(
-                    q, sorted(m if c == n else c for c in self.args[q]), (n, m)
-                )
-            else:
-                self._set_pow_base(q, m)
-        self.parents[n] = set()
-        self.roots = [m if r == n else r for r in self.roots]
+            ch = args[n]
+            rest = [c for c in ch if c != a and c != b]
+            if p in rest:
+                raise ValueError(f"node {n} already holds node {p}, the pair {key} being extracted")
+            newch = sorted(rest + [p])
+            newkey = (kind, tuple(newch))
+            m = index.get(newkey)
+            if m is not None:
+                raise ValueError(f"extracting {key} turns node {n} into a copy of node {m}")
+            for c in rest:
+                for x in (a, b):
+                    lo, hi = (c, x) if c < x else (x, c)
+                    s = pair_nodes[kind, lo, hi]
+                    s.discard(n)
+                    if len(s) >= 2:
+                        heappush(heap, (-len(s), lo, hi, kind))
+                lo, hi = (c, p) if c < p else (p, c)
+                s = pair_nodes.get((kind, lo, hi))
+                if s is None:
+                    pair_nodes[kind, lo, hi] = {n}
+                else:
+                    s.add(n)
+                    if len(s) >= 2:
+                        heappush(heap, (-len(s), lo, hi, kind))
+            del index[kind, tuple(ch)]
+            index[newkey] = n
+            args[n] = newch
+        pair_nodes[key] = {p}
 
     def run(self) -> None:
         while True:
@@ -369,7 +271,7 @@ class _Rewriter:
 
         A node counts once per path from a root, as ``tree_op_count`` counts
         the Horner tree. Valid before ``run`` only, while every child id is
-        below its parents' ids.
+        below the ids of the nodes that hold it.
         """
         kinds, args = self.kinds, self.args
         mult = [0] * len(kinds)
@@ -429,7 +331,13 @@ class _Rewriter:
 
 
 def eliminate_pairs(d: Dag) -> Dag:
-    """Extract the most frequent same-operator child pairs until fixpoint."""
+    """Extract the most frequent same-operator child pairs until fixpoint.
+
+    Raises ValueError if *d* has two identical nodes or an add/mul child
+    list that is not strictly increasing, or if an extraction would make
+    two nodes identical (possible only when a node has a child of its own
+    kind; see ``_Rewriter``).
+    """
     rw = _Rewriter.from_dag(d)
     rw.run()
     return rw.compact()

@@ -44,8 +44,8 @@ class Schedule:
 
     @classmethod
     def exponential(cls, half_life: float) -> "Schedule":
-        if half_life <= 0:
-            raise ValueError("half-life must be positive")
+        if not (math.isfinite(half_life) and half_life > 0):
+            raise ValueError("half-life must be positive and finite")
         return cls(cls.EXPONENTIAL, half_life)
 
     @classmethod
@@ -84,8 +84,8 @@ class SearchParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.cp < 0:
-            raise ValueError("cp must be nonnegative")
+        if not (math.isfinite(self.cp) and self.cp >= 0):
+            raise ValueError("cp must be nonnegative and finite")
         if self.n_updates < 1:
             raise ValueError("n_updates must be >= 1")
         if self.repeats < 1:

@@ -53,8 +53,8 @@ class SweepConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.cp_min < self.cp_max):
-            raise ValueError("need 0 < cp_min < cp_max")
+        if not (0 < self.cp_min < self.cp_max and math.isfinite(self.cp_max)):
+            raise ValueError("need finite 0 < cp_min < cp_max")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.n_updates < 1:
@@ -222,65 +222,58 @@ def per_bin_minima(rows, bins: int = ROI_BINS):
     return minima, lo, width
 
 
+def _roi(rows, epsilon: float, bins: int):
+    """(log width, C_p interval, bin log width) of the longest good-bin run.
+
+    A bin is good when it has samples and its minimum ops_total is within
+    (1+epsilon) of the global minimum; the first of equally long runs wins.
+    The interval is None for a degenerate C_p range.
+    """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
+    minima, lo, width = per_bin_minima(rows, bins)
+    threshold = (1.0 + epsilon) * min(m for m in minima if m is not None)
+    best_len = best_start = run = 0
+    for i, m in enumerate(minima):
+        if m is not None and m <= threshold:
+            run += 1
+            if run > best_len:
+                best_len, best_start = run, i + 1 - run
+        else:
+            run = 0
+    interval = None
+    if width != 0.0 and best_len:
+        interval = (
+            math.exp(lo + best_start * width),
+            math.exp(lo + (best_start + best_len) * width),
+        )
+    return best_len * width, interval, width
+
+
 def roi_width(rows, epsilon: float = DEFAULT_EPSILON, bins: int = ROI_BINS) -> float:
     """Total log-width of the longest contiguous run of good bins.
 
-    A bin is good when it has samples and its minimum ops_total is within
-    (1+epsilon) of the global minimum. Monotone nondecreasing in epsilon.
+    Monotone nondecreasing in epsilon.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    minima, _, width = per_bin_minima(rows, bins)
-    global_min = min(m for m in minima if m is not None)
-    threshold = (1.0 + epsilon) * global_min
-    good = [m is not None and m <= threshold for m in minima]
-    best = run = 0
-    for g in good:
-        run = run + 1 if g else 0
-        best = max(best, run)
-    return best * width
+    return _roi(rows, epsilon, bins)[0]
 
 
 def roi_interval(rows, epsilon: float = DEFAULT_EPSILON, bins: int = ROI_BINS):
     """C_p endpoints of the longest good run, or None for a degenerate range."""
-    minima, lo, width = per_bin_minima(rows, bins)
-    if width == 0.0:
-        return None
-    global_min = min(m for m in minima if m is not None)
-    threshold = (1.0 + epsilon) * global_min
-    good = [m is not None and m <= threshold for m in minima]
-    best_len = best_start = run = 0
-    start = 0
-    for i, g in enumerate(good):
-        if g:
-            if run == 0:
-                start = i
-            run += 1
-            if run > best_len:
-                best_len, best_start = run, start
-        else:
-            run = 0
-    if best_len == 0:
-        return None
-    return (
-        math.exp(lo + best_start * width),
-        math.exp(lo + (best_start + best_len) * width),
-    )
+    return _roi(rows, epsilon, bins)[1]
 
 
 def analyze_rows(rows, epsilon: float = DEFAULT_EPSILON) -> dict:
     """Summary record for one sweep: global best and region of interest."""
-    minima, lo, width = per_bin_minima(rows)
-    global_min = min(r.ops_total for r in rows)
-    interval = roi_interval(rows, epsilon)
+    log_width, interval, width = _roi(rows, epsilon, ROI_BINS)
     return {
         "samples": len(rows),
         "cp_min": min(r.cp for r in rows),
         "cp_max": max(r.cp for r in rows),
-        "global_min_ops": global_min,
+        "global_min_ops": min(r.ops_total for r in rows),
         "epsilon": epsilon,
         "bins": ROI_BINS,
         "bin_log_width": width,
-        "roi_log_width": roi_width(rows, epsilon),
+        "roi_log_width": log_width,
         "roi_cp_interval": list(interval) if interval else None,
     }

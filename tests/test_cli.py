@@ -42,12 +42,19 @@ class TestExitCodes:
         [
             (["--n-updates", "0"], "n_updates must be >= 1"),
             (["--schedule", "bogus"], "unknown schedule 'bogus'"),
+            (["--cp", "nan", "--n-updates", "5"], "cp must be nonnegative and finite"),
+            (["--schedule", "exp:nan", "--n-updates", "60"], "half-life must be positive and finite"),
         ],
     )
     def test_bad_value_exits_2(self, capsys, worked, extra, message):
         code, out, err = run(capsys, "search", worked, *extra)
         assert code == 2 and out == ""
         assert err == f"opmin: error: {message}\n"
+
+    def test_infinite_sweep_range_exits_2(self, capsys, worked):
+        code, out, err = run(capsys, "sweep", worked, "--samples", "2", "--cp-max", "inf")
+        assert code == 2 and out == ""
+        assert err == "opmin: error: need finite 0 < cp_min < cp_max\n"
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "simplify", str(tmp_path / "absent.txt"))

@@ -1,12 +1,14 @@
 """The rewriter's incremental pair index against a from-scratch recount.
 
-``_Rewriter`` keeps ``pair_nodes``, ``parents`` and its lazy rank heap up to
-date rewrite by rewrite. These tests run the elimination one extraction at
-a time and, after every step, rebuild the pair sets and parents from the
-alive nodes alone, with none of the rewriter's bookkeeping, and check that
+``_Rewriter`` keeps ``pair_nodes`` and its lazy rank heap up to date
+rewrite by rewrite. These tests run the elimination one extraction at a
+time and, after every step, rebuild the pair sets from the arena's child
+lists alone, with none of the rewriter's bookkeeping, and check that
 ``best_pair`` is the minimum-rank repeated pair of that recount. Unlike
 ``test_equivalence``, whose reference also runs ``_Rewriter``, this catches
-a bug in the index or the heap.
+a bug in the index or the heap. The rewriter does not merge nodes, so a
+DAG on which an extraction would make two nodes identical, or whose
+add/mul child lists are not strictly increasing, must raise ValueError.
 """
 
 from itertools import combinations
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from opmin.benchgen import preset_expr, resultant_expr
-from opmin.cse import K_POW, K_PROD, K_SUM, K_VAR, Dag, DeltaScorer, _Rewriter, simplify
+from opmin.cse import K_PROD, K_SUM, K_VAR, Dag, DeltaScorer, _Rewriter, simplify
 from opmin.expr import OpCount, variables
 from opmin.horner import effective_order, occurrence_order
 
@@ -24,27 +26,19 @@ from test_horner import random_scheme
 
 
 def recount(rw):
-    """Pair sets and parent sets of the alive nodes, counted from scratch."""
+    """Pair sets of the add/mul nodes, counted from scratch."""
     pairs: dict[tuple, set[int]] = {}
-    parents = [set() for _ in rw.kinds]
     for i, (k, a) in enumerate(zip(rw.kinds, rw.args)):
-        if not rw.alive[i]:
-            continue
         if k in (K_SUM, K_PROD):
             for x, y in set(combinations(sorted(a), 2)):
                 pairs.setdefault((k, x, y), set()).add(i)
-            for c in a:
-                parents[c].add(i)
-        elif k == K_POW:
-            parents[a[0]].add(i)
-    return pairs, parents
+    return pairs
 
 
 def checked_step(rw):
     """Compare the index with a recount; return ``best_pair()``."""
-    pairs, parents = recount(rw)
+    pairs = recount(rw)
     assert {key: s for key, s in rw.pair_nodes.items() if s} == pairs
-    assert rw.parents == parents
     repeated = [key for key, s in pairs.items() if len(s) >= 2]
     want = min(repeated, key=lambda key: (-len(pairs[key]), key[1], key[2], key[0]), default=None)
     best = rw.best_pair()
@@ -81,21 +75,31 @@ def test_pinned_workloads(name):
         assert eliminate_checked(DeltaScorer(e).build(order))
 
 
-def test_equal_pair_extraction_and_merge_cascade():
-    # Extracting y+z (node 4) turns B = y+z+w into 4+w, a copy of C, so B
-    # merges into C; its parent D = u*B becomes a copy of E = u*C and merges
-    # too. That leaves R = D+E as E+E and F = w+D+E as w+E+E, so the next
-    # pair is (E, E), which R itself already is.
+def test_extraction_that_would_merge_nodes_raises():
+    # Extracting y+z (node 4) would turn B = y+z+w (node 5) into 4+w, a copy
+    # of C (node 6). Only a sum nested in a sum allows this, and no Horner
+    # arena has one; the rewriter does not merge, so it must refuse.
     y, z, w, u = 0, 1, 2, 3
     kinds = [K_VAR] * 4 + [K_SUM, K_SUM, K_SUM, K_PROD, K_PROD, K_SUM, K_SUM]
     args = [(y,), (z,), (w,), (u,)]
     args += [(y, z), (y, z, w), (w, 4), (u, 5), (u, 6), (7, 8), (w, 7, 8)]
     rw = _Rewriter.from_dag(Dag(kinds, args, [9, 10]))
+    with pytest.raises(ValueError, match="node 5 into a copy of node 6"):
+        rw.run()
 
-    assert eliminate_checked(rw) == [(K_SUM, y, z), (K_SUM, 8, 8)]
-    assert [i for i, ok in enumerate(rw.alive) if not ok] == [5, 7]
-    assert rw.args[9] == [8, 8] and rw.args[10] == [w, 9]
-    assert len(rw.kinds) == len(kinds)
+
+@pytest.mark.parametrize("children", [(0, 0, 1), (1, 0)], ids=["repeated", "unsorted"])
+@pytest.mark.parametrize("kind", [K_SUM, K_PROD])
+def test_from_dag_rejects_children_not_strictly_increasing(kind, children):
+    d = Dag([K_VAR, K_VAR, kind], [(0,), (1,), children], [2])
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        _Rewriter.from_dag(d)
+
+
+def test_from_dag_rejects_identical_nodes():
+    d = Dag([K_VAR, K_VAR, K_SUM, K_SUM, K_PROD], [(0,), (1,), (0, 1), (0, 1), (2, 3)], [4])
+    with pytest.raises(ValueError, match="nodes 2 and 3 are identical"):
+        _Rewriter.from_dag(d)
 
 
 def test_hep_like_22_occurrence_order_is_pinned():

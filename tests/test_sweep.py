@@ -21,6 +21,7 @@ from opmin.sweep import (
     write_csv,
 )
 from opmin.benchgen import RandomExprParams, random_expr
+from opmin.cli import main
 
 from test_expr import WORKED
 
@@ -193,6 +194,15 @@ class TestRoi:
         with pytest.raises(ValueError):
             roi_width(synthetic_rows([1.0], [5]), 0.0)
 
+    def test_interval_requires_positive_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            roi_interval(synthetic_rows([1.0, 2.0], [5, 3]), 0.0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_requires_finite_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            analyze_rows(synthetic_rows([1.0, 2.0], [5, 3]), epsilon)
+
     def test_per_bin_minima_degenerate_range(self):
         rows = synthetic_rows([1.0, 1.0], [5, 3])
         minima, lo, width = per_bin_minima(rows)
@@ -207,3 +217,51 @@ class TestRoi:
         assert rep["samples"] == 50
         assert rep["roi_log_width"] == pytest.approx(5.0)
         assert rep["roi_cp_interval"][0] == pytest.approx(1.0)
+
+
+def fixed_sweep_csv() -> str:
+    """120 rows over [0.01, 10]: a 4-sample dip to 48, a wider band near 50."""
+    lines = [",".join(CSV_HEADER)]
+    for i in range(120):
+        pos = i * 37 % 120
+        cp = 10 ** (-2 + 3 * pos / 119)
+        total = 48 if 10 <= pos <= 13 else 50 + abs(pos - 70) // 6
+        lines.append(f'{i},{cp!r},sa-uct,25,forward,{i},{total},{total - 9},9,"x,y"')
+    return "\n".join(lines) + "\n"
+
+
+ANALYZE_JSON = """{
+  "samples": 120,
+  "cp_min": 0.01,
+  "cp_max": 10.0,
+  "global_min_ops": 48,
+  "epsilon": 0.05,
+  "bins": 50,
+  "bin_log_width": 0.13815510557964272,
+  "roi_log_width": 0.6907755278982136,
+  "roi_cp_interval": [
+    0.4168693834703354,
+    0.8317637711026709
+  ]
+}
+"""
+
+ANALYZE_CSV = """key,value
+samples,120
+cp_min,0.01
+cp_max,10.0
+global_min_ops,48
+epsilon,0.05
+bins,50
+bin_log_width,0.13815510557964272
+roi_log_width,0.6907755278982136
+roi_cp_interval,[0.4168693834703354, 0.8317637711026709]
+"""
+
+
+@pytest.mark.parametrize("fmt, want", [("json", ANALYZE_JSON), ("csv", ANALYZE_CSV)])
+def test_analyze_output_is_pinned(tmp_path, capsys, fmt, want):
+    path = tmp_path / "sweep.csv"
+    path.write_text(fixed_sweep_csv())
+    assert main(["analyze", str(path), "--format", fmt]) == 0
+    assert capsys.readouterr().out == want
