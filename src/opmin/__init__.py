@@ -6,7 +6,6 @@ over the exploration constant quantify how forgiving each criterion is.
 """
 
 from .expr import (
-    Atom,
     AtomTable,
     Expression,
     OpCount,
@@ -54,10 +53,9 @@ from .mcts import (
     temperature,
 )
 from .benchgen import PRESETS, RandomExprParams, preset_expr, random_expr, resultant_expr
-from .sweep import SweepConfig, SweepRow, analyze_rows, roi_width, run_sweep
+from .sweep import SweepConfig, SweepRow, analyze_rows, run_sweep
 
 __all__ = [
-    "Atom",
     "AtomTable",
     "Expression",
     "OpCount",
@@ -105,7 +103,6 @@ __all__ = [
     "SweepConfig",
     "SweepRow",
     "analyze_rows",
-    "roi_width",
     "run_sweep",
 ]
 

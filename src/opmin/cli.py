@@ -3,8 +3,8 @@
 Subcommands: simplify, search, sweep, bruteforce, generate, analyze.
 Exit codes: 0 success; 1 malformed command line; 2 bad input or argument
 value (unreadable or unparsable file, unknown scheme atom or schedule, a
-number out of range such as --n-updates 0, input nested too deeply); 141,
-silently, when standard output is closed early (``| head``).
+number out of range such as --n-updates 0); 141, silently, when standard
+output is closed early (``| head``).
 ``--criterion uct`` means SA-UCT with the constant schedule.
 """
 
@@ -284,9 +284,6 @@ def main(argv=None) -> int:
         # Keep the interpreter's final flush from failing a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except RecursionError:
-        print("opmin: error: input nested too deeply for the Horner build", file=sys.stderr)
-        return 2
     except (OSError, ParseError, ValueError, KeyError) as exc:
         print(f"opmin: error: {exc}", file=sys.stderr)
         return 2

@@ -20,10 +20,13 @@ ValueError on a DAG outside it.
 Production path: ``DeltaScorer.build`` interns the Horner form straight
 into a rewriter arena, then ``run`` and a count; ``simplify`` also returns
 the compacted DAG, and ``DeltaScorer.delta`` (the search's playout score)
-caches the count per order. Reference path: ``apply_scheme``,
-``build_dag``, ``eliminate_pairs``, ``dag_op_count``. Both intern nodes in
-the same order, so they give the same arena, DAG and count; the tests check
-this node for node on random inputs.
+caches the count per order. The build walks term-index lists over
+per-variable exponent columns without recursion, so Horner depth is
+bounded by memory only. Reference path: ``apply_scheme``, ``build_dag``,
+``eliminate_pairs``, ``dag_op_count``; the first two recurse once per
+Horner level and fail on deep input. Both paths intern nodes in the same
+order, so they give the same arena, DAG and count; the tests check this
+node for node on random inputs.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ class _Rewriter:
     Precondition: every add/mul child list is strictly increasing, so no
     node repeats a child, and no add/mul node has a child of its own kind.
     Every arena ``DeltaScorer.build`` makes has both properties (sorted
-    interned children; open same-tag nodes are flattened), and so has
+    interned children; open same-kind nodes are flattened), and so has
     ``build_dag(apply_scheme(...))``, which is node for node the same. A
     rewrite only ever gives a node the new child p, the node of the key
     being extracted, so a node gets its first same-kind parent during its
@@ -190,7 +193,7 @@ class _Rewriter:
         args = []
         index = {}
         for i, (k, a) in enumerate(zip(d.kinds, d.args)):
-            key = (k, tuple(a)) if k in _AC else (k,) + tuple(a)
+            key = (k, tuple(a))
             if key in index:
                 raise ValueError(f"nodes {index[key]} and {i} are identical")
             index[key] = i
@@ -289,8 +292,12 @@ class _Rewriter:
         return _cost(kinds, args, {i: m for i, m in enumerate(mult) if m})
 
     def compact(self) -> Dag:
-        """Rebuild reachable nodes in topological order with fresh ids."""
-        kinds, args, index = [], [], {}
+        """Rebuild reachable nodes in topological order with fresh ids.
+
+        Arena keys are distinct and the remapping is one-to-one, so the
+        rebuilt nodes are distinct without re-interning.
+        """
+        kinds, args = [], []
         remap: dict[int, int] = {}
         pending: set[int] = set()
         for root in self.roots:
@@ -313,20 +320,13 @@ class _Rewriter:
                     continue
                 if k in _AC:
                     arg = tuple(sorted(remap[c] for c in self.args[i]))
-                    key = (k, arg)
                 elif k == K_POW:
                     arg = (remap[self.args[i][0]], self.args[i][1])
-                    key = (k,) + arg
                 else:
                     arg = tuple(self.args[i])
-                    key = (k,) + arg
-                j = index.get(key)
-                if j is None:
-                    j = len(kinds)
-                    kinds.append(k)
-                    args.append(arg)
-                    index[key] = j
-                remap[i] = j
+                remap[i] = len(kinds)
+                kinds.append(k)
+                args.append(arg)
         return Dag(kinds, args, [remap[r] for r in self.roots])
 
 
@@ -448,22 +448,20 @@ def dag_listing(d: Dag, atoms: AtomTable) -> str:
 class DeltaScorer:
     """Horner builds and memoized scores for one fixed expression.
 
-    Terms are packed once as dense exponent vectors over ``variables(e)``.
-    Counts are cached per effective order, so re-scoring a revisited path
-    is a dictionary lookup.
+    Terms are stored once, as a coefficient list and one exponent column per
+    variable of ``variables(e)``, both indexed by term. Counts are cached
+    per effective order, so re-scoring a revisited path is a dictionary
+    lookup.
     """
 
     def __init__(self, e: Expression):
         self.var_ids = variables(e)
         self._pos = {a: i for i, a in enumerate(self.var_ids)}
-        n = len(self.var_ids)
-        packed = []
-        for t in e.terms:
-            dense = [0] * n
+        self._coeffs = [t.coeff for t in e.terms]
+        self._cols = [[0] * len(e.terms) for _ in self.var_ids]
+        for i, t in enumerate(e.terms):
             for a, exp in t.exponents:
-                dense[self._pos[a]] = exp
-            packed.append((t.coeff, tuple(dense)))
-        self._terms = packed
+                self._cols[self._pos[a]][i] = exp
         self.cache: dict[tuple[int, ...], tuple[int, int]] = {}
 
     def delta(self, order: tuple[int, ...]) -> tuple[int, int]:
@@ -481,16 +479,22 @@ class DeltaScorer:
     def build(self, order: tuple[int, ...]) -> _Rewriter:
         """Arena of the Horner form for this effective order, before elimination.
 
-        Same nodes and ids as ``build_dag(apply_scheme(...))``. Sums and
-        products stay open (tagged child-id lists) until their parent interns
-        them, so nested ones flatten as in the tree.
+        Same nodes and ids as ``build_dag(apply_scheme(...))``. A Horner
+        level is a list of term indices plus ``sub``, the exponent already
+        factored out of each variable on the path to it. Sums and products
+        stay open, as ``(kind, ids)``, until their parent interns them, so
+        nested ones flatten as in the tree. Each level is a generator that
+        yields its sub-levels to one driver loop, so depth is not bounded
+        by Python's recursion limit.
         """
-        var_ids = self.var_ids
+        var_ids, coeffs, cols = self.var_ids, self._coeffs, self._cols
+        vs = tuple(self._pos[a] for a in order)
         kinds: list[int] = []
         args: list = []
         index: dict = {}
 
-        def intern(key, kind, arg) -> int:
+        def intern(kind, arg) -> int:
+            key = (kind, tuple(arg))
             i = index.get(key)
             if i is None:
                 i = len(kinds)
@@ -499,73 +503,59 @@ class DeltaScorer:
                 index[key] = i
             return i
 
-        def const_node(c: int) -> int:
-            return intern((K_CONST, c), K_CONST, (c,))
+        def factor(v, e) -> int:
+            b = intern(K_VAR, (var_ids[v],))
+            return b if e == 1 else intern(K_POW, (b, e))
 
-        def factor_node(v: int, e: int) -> int:
-            a = var_ids[v]
-            b = intern((K_VAR, a), K_VAR, (a,))
-            if e == 1:
-                return b
-            return intern((K_POW, b, e), K_POW, (b, e))
+        def close(kind, ids) -> int:
+            return ids[0] if len(ids) == 1 else intern(kind, sorted(ids))
 
-        def finalize(val) -> int:
-            if isinstance(val, int):
-                return val
-            tag, parts = val
-            kind = K_PROD if tag == "p" else K_SUM
-            ch = sorted(parts)
-            return intern((kind, tuple(ch)), kind, ch)
+        def parts(val, kind) -> list[int]:
+            """Ids *val* adds to an open *kind* node; a same-kind open node flattens."""
+            return val[1] if val[0] == kind else [close(*val)]
 
-        def flattened(val, tag) -> list[int]:
-            """Ids *val* adds to an open *tag* node; a same-tag open node flattens."""
-            if type(val) is tuple and val[0] == tag:
-                return val[1]
-            return [finalize(val)]
+        def monomial(t, sub):
+            exps = [(v, col[t] - s) for v, (col, s) in enumerate(zip(cols, sub)) if col[t] > s]
+            ids = [intern(K_CONST, (coeffs[t],))] if coeffs[t] != 1 or not exps else []
+            return K_PROD, ids + [factor(v, e) for v, e in exps]
 
-        def monomial(t):
-            c, exps = t
-            if not any(exps):
-                return const_node(c)
-            parts = [const_node(c)] if c != 1 else []
-            parts += [factor_node(v, e) for v, e in enumerate(exps) if e]
-            return parts[0] if len(parts) == 1 else ("p", parts)
-
-        def horner(terms, order):
-            if len(terms) == 1:
-                return monomial(terms[0])
-            for v in order:
-                cnt = 0
-                for t in terms:
-                    if t[1][v]:
-                        cnt += 1
-                        if cnt == 2:
-                            break
-                if cnt < 2:
+        def horner(ts, sub, j):
+            if len(ts) == 1:
+                return monomial(ts[0], sub)
+            # A variable before vs[j] occurs in fewer than two of the parent's
+            # terms, so in fewer than two of ts, with the same exponents.
+            for j in range(j, len(vs)):
+                v = vs[j]
+                col, s = cols[v], sub[v]
+                with_v = [t for t in ts if col[t] > s]
+                if len(with_v) < 2:
                     continue
-                with_v = []
-                rest = []
-                for t in terms:
-                    (with_v if t[1][v] else rest).append(t)
+                rest = [t for t in ts if col[t] == s]
                 # Interning order follows the tree walk: the variable-free
                 # addend first, then the extracted factor, then the quotient.
-                addends = flattened(horner(rest, order), "s") if rest else []
-                e = min(t[1][v] for t in with_v)
-                fid = factor_node(v, e)
-                quotient = [(c, x[:v] + (x[v] - e,) + x[v + 1 :]) for c, x in with_v]
-                parts = [fid] + flattened(horner(quotient, order), "p")
+                addends = parts((yield rest, sub, j), K_SUM) if rest else []
+                e = min(col[t] for t in with_v) - s
+                prod = [factor(v, e)]
+                q = sub.copy()
+                q[v] += e
+                prod += parts((yield with_v, q, j), K_PROD)
                 if not rest:
-                    return ("p", parts)
-                addends.append(finalize(("p", parts)))
-                return ("s", addends)
-            return ("s", [finalize(monomial(t)) for t in terms])
+                    return K_PROD, prod
+                addends.append(close(K_PROD, prod))
+                return K_SUM, addends
+            return K_SUM, [close(*monomial(t, sub)) for t in ts]
 
-        pos = self._pos
-        if self._terms:
-            root = finalize(horner(self._terms, tuple(pos[a] for a in order)))
-        else:
-            root = const_node(0)
-        return _Rewriter(kinds, args, [root], index)
+        if not coeffs:
+            return _Rewriter(kinds, args, [intern(K_CONST, (0,))], index)
+        stack, val = [horner(range(len(coeffs)), [0] * len(cols), 0)], None
+        while stack:
+            try:
+                stack.append(horner(*stack[-1].send(val)))
+                val = None
+            except StopIteration as done:
+                stack.pop()
+                val = done.value
+        return _Rewriter(kinds, args, [close(*val)], index)
 
 
 def simplify(e: Expression, s: Scheme) -> SimplifyResult:

@@ -39,12 +39,6 @@ class OpCount:
         return f"{self.mul} mul + {self.add} add = {self.total}"
 
 
-@dataclass(frozen=True)
-class Atom:
-    id: int
-    text: str
-
-
 class AtomTable:
     """Interns atom texts to dense integer ids in first-seen order.
 
@@ -75,9 +69,6 @@ class AtomTable:
 
     def text(self, aid: int) -> str:
         return self._texts[aid]
-
-    def atoms(self) -> list[Atom]:
-        return [Atom(i, t) for i, t in enumerate(self._texts)]
 
     def __contains__(self, text: str) -> bool:
         return text in self._ids

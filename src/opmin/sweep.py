@@ -200,7 +200,7 @@ def read_csv(fh) -> list[SweepRow]:
 # ---------------------------------------------------------------------------
 
 
-def per_bin_minima(rows, bins: int = ROI_BINS):
+def per_bin_minima(rows):
     """Minimum ops_total per log(cp) bin (None where a bin has no samples).
 
     Returns (minima, log_lo, bin_width).
@@ -209,20 +209,20 @@ def per_bin_minima(rows, bins: int = ROI_BINS):
         raise ValueError("no sweep rows")
     logs = [math.log(r.cp) for r in rows]
     lo, hi = min(logs), max(logs)
-    width = (hi - lo) / bins if hi > lo else 0.0
-    minima: list[int | None] = [None] * bins
+    width = (hi - lo) / ROI_BINS if hi > lo else 0.0
+    minima: list[int | None] = [None] * ROI_BINS
     for r, lg in zip(rows, logs):
         if width == 0.0:
             idx = 0
         else:
-            idx = min(int((lg - lo) / width), bins - 1)
+            idx = min(int((lg - lo) / width), ROI_BINS - 1)
         cur = minima[idx]
         if cur is None or r.ops_total < cur:
             minima[idx] = r.ops_total
     return minima, lo, width
 
 
-def _roi(rows, epsilon: float, bins: int):
+def _roi(rows, epsilon: float):
     """(log width, C_p interval, bin log width) of the longest good-bin run.
 
     A bin is good when it has samples and its minimum ops_total is within
@@ -231,7 +231,7 @@ def _roi(rows, epsilon: float, bins: int):
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be positive and finite")
-    minima, lo, width = per_bin_minima(rows, bins)
+    minima, lo, width = per_bin_minima(rows)
     threshold = (1.0 + epsilon) * min(m for m in minima if m is not None)
     best_len = best_start = run = 0
     for i, m in enumerate(minima):
@@ -250,22 +250,9 @@ def _roi(rows, epsilon: float, bins: int):
     return best_len * width, interval, width
 
 
-def roi_width(rows, epsilon: float = DEFAULT_EPSILON, bins: int = ROI_BINS) -> float:
-    """Total log-width of the longest contiguous run of good bins.
-
-    Monotone nondecreasing in epsilon.
-    """
-    return _roi(rows, epsilon, bins)[0]
-
-
-def roi_interval(rows, epsilon: float = DEFAULT_EPSILON, bins: int = ROI_BINS):
-    """C_p endpoints of the longest good run, or None for a degenerate range."""
-    return _roi(rows, epsilon, bins)[1]
-
-
 def analyze_rows(rows, epsilon: float = DEFAULT_EPSILON) -> dict:
     """Summary record for one sweep: global best and region of interest."""
-    log_width, interval, width = _roi(rows, epsilon, ROI_BINS)
+    log_width, interval, width = _roi(rows, epsilon)
     return {
         "samples": len(rows),
         "cp_min": min(r.cp for r in rows),

@@ -12,8 +12,15 @@ import numpy as np
 import pytest
 
 from opmin.benchgen import preset_expr, resultant_expr
-from opmin.cse import DeltaScorer, build_dag, dag_op_count, eliminate_pairs, simplify
-from opmin.expr import parse, variables
+from opmin.cse import (
+    DeltaScorer,
+    build_dag,
+    dag_op_count,
+    eliminate_pairs,
+    eval_dag_mod_p,
+    simplify,
+)
+from opmin.expr import OpCount, eval_mod_p, parse, variables
 from opmin.horner import Direction, Scheme, apply_scheme, effective_order, tree_op_count
 
 from test_expr import random_expression
@@ -77,3 +84,34 @@ def test_simplify_rejects_absent_scheme_atom(atom):
     a = e.atoms.id_of(atom) if isinstance(atom, str) else atom
     with pytest.raises(ValueError, match="does not occur"):
         simplify(e, Scheme((e.atoms.id_of("x"), a)))
+
+
+# The reference path (apply_scheme, build_dag) recurses once per Horner level
+# and cannot build deep inputs, so these are checked by modular evaluation.
+P61 = 2**61 - 1
+
+
+def assert_residues_agree(e, dag, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        pts = {a: int(rng.integers(2, P61)) for a in variables(e)}
+        assert eval_dag_mod_p(dag, pts, P61) == eval_mod_p(e, pts, P61)
+
+
+def test_degree_5000_univariate():
+    e = parse(" + ".join(f"x^{k}" for k in range(1, 5001)))
+    s = Scheme(tuple(variables(e)))
+    got = simplify(e, s)
+    assert got.ops == OpCount(mul=4999, add=4999)
+    assert got.horner_ops == got.ops
+    assert DeltaScorer(e).delta(effective_order(s)) == (4999, 4999)
+    assert_residues_agree(e, got.dag, 0)
+
+
+@pytest.mark.parametrize("names", [("x", "y"), ("y", "x")])
+def test_deep_bivariate(names):
+    e = parse(" + ".join(f"x^{k}*y^{k}" for k in range(1, 1501)))
+    s = Scheme(tuple(e.atoms.id_of(n) for n in names))
+    got = simplify(e, s)
+    assert DeltaScorer(e).delta(effective_order(s)) == (got.ops.mul, got.ops.add)
+    assert_residues_agree(e, got.dag, 1)

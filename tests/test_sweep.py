@@ -14,8 +14,6 @@ from opmin.sweep import (
     analyze_rows,
     per_bin_minima,
     read_csv,
-    roi_interval,
-    roi_width,
     run_sweep,
     sample_cps,
     write_csv,
@@ -150,7 +148,7 @@ class TestRoi:
         cps = [10 ** (-2 + 3 * i / 199) for i in range(200)]
         rows = synthetic_rows(cps, [42] * 200)
         full = math.log(cps[-1]) - math.log(cps[0])
-        assert roi_width(rows, 0.05) == pytest.approx(full)
+        assert analyze_rows(rows, 0.05)["roi_log_width"] == pytest.approx(full)
 
     def test_single_good_bin(self):
         # 50 samples, one per bin; only one bin within 5% of the minimum
@@ -159,8 +157,8 @@ class TestRoi:
         totals[20] = 50
         rows = synthetic_rows(cps, totals)
         width = 5.0 / 50
-        assert roi_width(rows, 0.05) == pytest.approx(width)
-        lo, hi = roi_interval(rows, 0.05)
+        assert analyze_rows(rows, 0.05)["roi_log_width"] == pytest.approx(width)
+        lo, hi = analyze_rows(rows, 0.05)["roi_cp_interval"]
         assert math.log(lo) == pytest.approx(20 * width)
         assert math.log(hi) == pytest.approx(21 * width)
 
@@ -169,7 +167,7 @@ class TestRoi:
         cps = [float(c) for c in np.exp(rng.uniform(-3, 2, 300))]
         totals = [int(t) for t in rng.integers(50, 120, 300)]
         rows = synthetic_rows(cps, totals)
-        widths = [roi_width(rows, eps) for eps in (0.01, 0.05, 0.1, 0.5, 1.0)]
+        widths = [analyze_rows(rows, eps)["roi_log_width"] for eps in (0.01, 0.05, 0.1, 0.5, 1.0)]
         assert all(a <= b for a, b in zip(widths, widths[1:]))
 
     def test_contiguity_matters(self):
@@ -181,22 +179,22 @@ class TestRoi:
         for i in range(40, 50):
             totals[i] = 50
         rows = synthetic_rows(cps, totals)
-        assert roi_width(rows, 0.05) == pytest.approx(10 * 10.0 / 50)
+        assert analyze_rows(rows, 0.05)["roi_log_width"] == pytest.approx(10 * 10.0 / 50)
 
     def test_empty_bins_break_runs(self):
         rows = synthetic_rows([math.exp(0.0), math.exp(5.0)], [10, 10])
         # 48 interior bins are empty; longest good run is a single bin
-        assert roi_width(rows, 0.05) == pytest.approx(5.0 / 50)
+        assert analyze_rows(rows, 0.05)["roi_log_width"] == pytest.approx(5.0 / 50)
 
     def test_requires_rows_and_positive_epsilon(self):
         with pytest.raises(ValueError):
-            roi_width([], 0.05)
+            analyze_rows([], 0.05)
         with pytest.raises(ValueError):
-            roi_width(synthetic_rows([1.0], [5]), 0.0)
+            analyze_rows(synthetic_rows([1.0], [5]), 0.0)
 
     def test_interval_requires_positive_epsilon(self):
         with pytest.raises(ValueError, match="epsilon must be positive"):
-            roi_interval(synthetic_rows([1.0, 2.0], [5, 3]), 0.0)
+            analyze_rows(synthetic_rows([1.0, 2.0], [5, 3]), 0.0)
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
     def test_requires_finite_epsilon(self, epsilon):
