@@ -3,8 +3,11 @@
 Subcommands: simplify, search, sweep, bruteforce, generate, analyze.
 Exit codes: 0 success; 1 malformed command line; 2 bad input or argument
 value (unreadable or unparsable file, unknown scheme atom or schedule, a
-number out of range such as --n-updates 0); 141, silently, when standard
-output is closed early (``| head``).
+number out of range such as --n-updates 0, a malformed sweep CSV); 3 the
+self-check failed: the DAG that simplify reports, or the DAG of search's
+best scheme, does not evaluate like the input at 3 seeded points modulo
+2^61-1, and nothing is printed to standard output; 141, silently, when
+standard output is closed early (``| head``).
 ``--criterion uct`` means SA-UCT with the constant schedule.
 """
 
@@ -13,11 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 
 from . import benchgen
-from .cse import dag_listing, simplify
-from .expr import ParseError, naive_op_count, parse, to_string
+from .cse import dag_listing, eval_dag_mod_p, simplify
+from .expr import ParseError, eval_mod_p, naive_op_count, parse, to_string
 from .horner import (
     Direction,
     Scheme,
@@ -42,6 +46,14 @@ from .sweep import (
 )
 
 
+_CHECK_PRIME = 2**61 - 1
+_CHECK_POINTS = 3
+
+
+class _SelfCheckError(Exception):
+    """A result DAG does not evaluate like its input."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -52,6 +64,15 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _load_expression(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())
+
+
+def _self_check(e, dag) -> None:
+    """Raise _SelfCheckError unless *dag* has *e*'s residues at seeded points."""
+    rng = random.Random(0)
+    for _ in range(_CHECK_POINTS):
+        point = {a: rng.randrange(_CHECK_PRIME) for a in range(len(e.atoms))}
+        if eval_dag_mod_p(dag, point, _CHECK_PRIME) != eval_mod_p(e, point, _CHECK_PRIME):
+            raise _SelfCheckError("self-check failed: the result does not evaluate like the input")
 
 
 def _add_search_flags(p):
@@ -147,6 +168,7 @@ def cmd_simplify(args) -> int:
             scheme = Scheme(scheme.order, direction)
     naive = naive_op_count(e)
     result = simplify(e, scheme)
+    _self_check(e, result.dag)
     listing = dag_listing(result.dag, e.atoms)
     if args.format == "json":
         doc = {
@@ -178,6 +200,7 @@ def cmd_search(args) -> int:
         seed=args.seed,
     )
     result = repeat_search(e, params)
+    _self_check(e, simplify(e, result.best_scheme).dag)
     print(json.dumps(result_to_json_dict(result, params, e.atoms), indent=2))
     return 0
 
@@ -284,6 +307,9 @@ def main(argv=None) -> int:
         # Keep the interpreter's final flush from failing a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except _SelfCheckError as exc:
+        print(f"opmin: error: {exc}", file=sys.stderr)
+        return 3
     except (OSError, ParseError, ValueError, KeyError) as exc:
         print(f"opmin: error: {exc}", file=sys.stderr)
         return 2

@@ -7,15 +7,16 @@ extracts the child pair that occurs under the most same-operator nodes,
 materializing it as a shared node; this exposes partial overlaps between
 wide sums/products that hash-consing alone cannot see.
 
-The rewriter keeps the pair counts incremental. A lazy min-heap of ranks
-``(-count, a, b, kind)`` gets a new entry whenever a pair's count changes;
-entries whose count no longer matches are stale and are dropped when they
-reach the top. Extracting a pair (a, b) replaces a and b by the pair's
-node p in every node that holds both; such a node changes only its pairs
-with a, b and p, so rewriting a k-ary node costs O(k), not O(k^2). On a
-Horner arena no rewrite can make two nodes identical, so there is nothing
-to merge; ``_Rewriter`` states the precondition and the proof, and raises
-ValueError on a DAG outside it.
+The rewriter keeps the pair counts incremental. Pairs are packed into int
+keys, and a min-heap holds one int rank per repeated pair, pushed when the
+pair is created; a pair's count only falls after that, so a stale top is
+re-ranked in place or dropped. Pairs held by a single node get no node
+set, since they can never repeat. Extracting a pair (a, b) replaces a and
+b by the pair's node p in every node that holds both; such a node changes
+only its pairs with a, b and p, so rewriting a k-ary node costs O(k), not
+O(k^2). On a Horner arena no rewrite can make two nodes identical, so
+there is nothing to merge; ``_Rewriter`` states the precondition and the
+proof, and raises ValueError on a DAG outside it.
 
 Production path: ``DeltaScorer.build`` interns the Horner form straight
 into a rewriter arena, then ``run`` and a count; ``simplify`` also returns
@@ -32,13 +33,17 @@ node for node on random inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from .expr import AtomTable, Expression, OpCount, variables
 from .horner import Const, Power, Scheme, Sum, Var, check_scheme, effective_order
 
 K_SUM, K_PROD, K_POW, K_VAR, K_CONST = 0, 1, 2, 3, 4
 _AC = (K_SUM, K_PROD)
 _KIND_NAMES = {K_SUM: "add", K_PROD: "mul", K_POW: "pow", K_VAR: "var", K_CONST: "const"}
+# Pair keys and heap ranks of ``_Rewriter``; node ids must stay below 2**32.
+_ID_MASK = (1 << 32) - 1
+_COUNT_SHIFT = 65
+_KEY_MASK = (1 << _COUNT_SHIFT) - 1
 
 
 class Dag:
@@ -117,14 +122,20 @@ def build_dag(tree) -> Dag:
 class _Rewriter:
     """Mutable arena for greedy pair extraction.
 
-    ``pair_nodes[(kind, a, b)]`` holds the add/mul nodes whose child list
-    contains the pair a < b. ``heap`` is a min-heap of ranks
-    ``(-count, a, b, kind)``: an entry is pushed whenever a pair's node set
-    changes size and still has two or more nodes, and is never updated in
-    place. An entry whose count differs from the set's current size is
-    stale; ``best_pair`` pops stale entries off the top, so the top entry it
-    returns is the minimum rank over all repeated pairs. ``index`` maps each
-    node's structural key to its id.
+    A pair (kind, a, b) with a < b is packed into one int key,
+    ``(a << 32 | b) << 1 | kind``, which sorts like the tuple (a, b, kind);
+    node ids must stay below 2**32. ``pair_nodes[key]`` holds the add/mul
+    nodes whose child list contains the pair, for every pair that two or
+    more nodes held when it was created. A pair held by one node then gets
+    no set: by property 5 below it can never repeat. ``heap`` is a min-heap
+    of int ranks ``key - (count << 65)``, which sort like the tuple
+    ``(-count, a, b, kind)``: most frequent first, ties to the smallest ids,
+    add first. Each stored key has one rank, pushed when its set is made.
+    By property 5 its count can only be too high, so ``best_pair`` re-ranks
+    a stale top in place with the set's current size while that is two or
+    more, drops it otherwise, and returns the first top that is current:
+    the minimum rank over all repeated pairs. ``index`` maps each node's
+    structural key to its id.
 
     Extracting (kind, a, b) is one rewrite: every node that holds both a
     and b gets the node p = (kind, [a, b]) in their place. p is appended
@@ -150,11 +161,19 @@ class _Rewriter:
        the first such event.
     4. A target never collapses to one child: its child list would have
        to be [a, b], and then it is p.
+    5. A pair's node set only shrinks after the step that creates it,
+       ``__init__`` or an extraction. A node gains pairs only as (c, p)
+       while p's key is extracted, and by 2 no other node holds p then,
+       so each such pair is new. A later gain would need a later
+       extraction whose p is c or p, which the nodes holding the pair
+       already hold, against 1 and 2.
 
     ``__init__`` raises ValueError on a child list that is not strictly
-    increasing, and ``extract`` on a target that already holds p or that
-    the rewrite would make a copy of another node, so a ``Dag`` outside
-    the precondition fails loudly instead of miscounting.
+    increasing. ``extract`` raises on a target that already holds p, on a
+    rewrite that would make a copy of another node, and on a p that is
+    already the child of a node of its own kind (``inner``), the one case
+    in which a pair (c, p) could predate the extraction. So a ``Dag``
+    outside the precondition fails loudly instead of miscounting.
     """
 
     def __init__(self, kinds: list, args: list, roots: list, index: dict):
@@ -163,9 +182,10 @@ class _Rewriter:
         self.args = args
         self.roots = roots
         self.index = index
-        self.pair_nodes: dict[tuple, set[int]] = {}
+        self.inner: set[int] = set()  # add/mul nodes that have had a parent of their kind
+        self.pair_nodes: dict[int, set[int]] = {}
         pair_nodes = self.pair_nodes
-        repeated = []  # keys whose node set reached 2
+        first: dict[int, int] = {}  # pair key -> the first node that holds it
         for i, (k, ch) in enumerate(zip(kinds, args)):
             if k not in _AC:
                 continue
@@ -176,16 +196,17 @@ class _Rewriter:
                     raise ValueError(
                         f"node {i}: {_KIND_NAMES[k]} children {list(ch)} are not strictly increasing"
                     )
+                hi = cx << 33 | k
                 for y in range(x + 1, n):
-                    key = (k, cx, ch[y])
-                    s = pair_nodes.get(key)
-                    if s is None:
-                        pair_nodes[key] = {i}
-                    else:
-                        s.add(i)
-                        if len(s) == 2:
-                            repeated.append(key)
-        self.heap = [(-len(pair_nodes[k, a, b]), a, b, k) for k, a, b in repeated]
+                    key = hi | ch[y] << 1
+                    j = first.setdefault(key, i)
+                    if j != i:
+                        s = pair_nodes.get(key)
+                        if s is None:
+                            pair_nodes[key] = {j, i}
+                        else:
+                            s.add(i)
+        self.heap = [key - (len(s) << _COUNT_SHIFT) for key, s in pair_nodes.items()]
         heapify(self.heap)
 
     @classmethod
@@ -198,18 +219,28 @@ class _Rewriter:
                 raise ValueError(f"nodes {index[key]} and {i} are identical")
             index[key] = i
             args.append(list(a) if k in _AC else a)
-        return cls(list(d.kinds), args, list(d.roots), index)
+        rw = cls(list(d.kinds), args, list(d.roots), index)
+        kinds = d.kinds
+        rw.inner.update(c for k, a in zip(kinds, d.args) if k in _AC for c in a if kinds[c] == k)
+        return rw
 
     def best_pair(self):
-        """Most frequent (operator, child pair); ties to smallest ids, add first."""
+        """Most frequent (operator, child pair); ties to smallest ids, add first.
+
+        Returns ``(kind, a, b)`` with a < b, or None when no pair repeats.
+        """
         heap = self.heap
         pair_nodes = self.pair_nodes
         while heap:
-            neg, a, b, k = heap[0]
-            key = (k, a, b)
-            if len(pair_nodes[key]) == -neg:
-                return key
-            heappop(heap)
+            rank = heap[0]
+            key = rank & _KEY_MASK
+            n = len(pair_nodes[key])
+            if n == -(rank >> _COUNT_SHIFT):
+                return key & 1, key >> 33, (key >> 1) & _ID_MASK
+            if n >= 2:
+                heapreplace(heap, key - (n << _COUNT_SHIFT))
+            else:
+                heappop(heap)
         return None
 
     def extract(self, key) -> None:
@@ -225,8 +256,9 @@ class _Rewriter:
             args.append([a, b])
             index[pkey] = p
         pair_nodes = self.pair_nodes
-        heap = self.heap
-        for n in pair_nodes[key]:
+        packed = a << 33 | b << 1 | kind
+        holders: dict[int, list[int]] = {}  # c -> the targets that will hold (c, p)
+        for n in pair_nodes[packed]:
             if n == p:
                 continue
             ch = args[n]
@@ -240,23 +272,27 @@ class _Rewriter:
                 raise ValueError(f"extracting {key} turns node {n} into a copy of node {m}")
             for c in rest:
                 for x in (a, b):
-                    lo, hi = (c, x) if c < x else (x, c)
-                    s = pair_nodes[kind, lo, hi]
-                    s.discard(n)
-                    if len(s) >= 2:
-                        heappush(heap, (-len(s), lo, hi, kind))
-                lo, hi = (c, p) if c < p else (p, c)
-                s = pair_nodes.get((kind, lo, hi))
-                if s is None:
-                    pair_nodes[kind, lo, hi] = {n}
+                    s = pair_nodes.get(c << 33 | x << 1 | kind if c < x else x << 33 | c << 1 | kind)
+                    if s is not None:
+                        s.discard(n)
+                ns = holders.get(c)
+                if ns is None:
+                    holders[c] = [n]
                 else:
-                    s.add(n)
-                    if len(s) >= 2:
-                        heappush(heap, (-len(s), lo, hi, kind))
+                    ns.append(n)
             del index[kind, tuple(ch)]
             index[newkey] = n
             args[n] = newch
-        pair_nodes[key] = {p}
+        if p in self.inner:
+            raise ValueError(f"node {p}, the pair {key} being extracted, is a same-kind child")
+        self.inner.add(p)
+        heap = self.heap
+        for c, ns in holders.items():
+            if len(ns) >= 2:
+                new = c << 33 | p << 1 | kind if c < p else p << 33 | c << 1 | kind
+                pair_nodes[new] = set(ns)
+                heappush(heap, new - (len(ns) << _COUNT_SHIFT))
+        pair_nodes[packed] = {p}
 
     def run(self) -> None:
         while True:

@@ -172,14 +172,18 @@ def write_csv(rows, fh) -> None:
 
 
 def read_csv(fh) -> list[SweepRow]:
+    """Rows of a sweep CSV; ValueError, naming the line, on a malformed one."""
     reader = csv.reader(fh)
-    header = next(reader)
+    header = next(reader, [])
     if header != CSV_HEADER:
         raise ValueError(f"unexpected sweep CSV header: {header}")
     rows = []
     for rec in reader:
-        rows.append(
-            SweepRow(
+        where = f"sweep CSV line {reader.line_num}"
+        if len(rec) != len(CSV_HEADER):
+            raise ValueError(f"{where}: {len(rec)} fields, expected {len(CSV_HEADER)}")
+        try:
+            row = SweepRow(
                 sample_index=int(rec[0]),
                 cp=float(rec[1]),
                 criterion=rec[2],
@@ -191,7 +195,11 @@ def read_csv(fh) -> list[SweepRow]:
                 ops_add=int(rec[8]),
                 scheme=rec[9],
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if not (math.isfinite(row.cp) and row.cp > 0):
+            raise ValueError(f"{where}: cp must be positive and finite, got {rec[1]}")
+        rows.append(row)
     return rows
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import opmin
 from opmin.cli import main
+from opmin.cse import Dag, _Rewriter
 
 from test_expr import WORKED
 
@@ -56,6 +57,31 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "opmin: error: need finite 0 < cp_min < cp_max\n"
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,0.7,uct", "3 fields, expected 10"),
+            ('1,nan,uct,5,forward,1,9,5,4,"x,y"', "cp must be positive and finite, got nan"),
+            ('1,inf,uct,5,forward,1,9,5,4,"x,y"', "cp must be positive and finite, got inf"),
+            ('1,-2,uct,5,forward,1,9,5,4,"x,y"', "cp must be positive and finite, got -2"),
+        ],
+        ids=["short-row", "nan-cp", "inf-cp", "negative-cp"],
+    )
+    def test_malformed_sweep_csv_exits_2(self, capsys, tmp_path, row, message):
+        header = "sample,cp,criterion,n_updates,direction,seed,ops_total,ops_mul,ops_add,scheme"
+        path = tmp_path / "sweep.csv"
+        path.write_text(f"{header}\n{row}\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err == f"opmin: error: sweep CSV line 2: {message}\n"
+
+    def test_empty_sweep_csv_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err == "opmin: error: unexpected sweep CSV header: []\n"
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "simplify", str(tmp_path / "absent.txt"))
         assert code == 2
@@ -65,6 +91,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "simplify", worked, "--scheme", "x,w")
         assert code == 2
         assert err.startswith("opmin: error:")
+
+
+@pytest.mark.parametrize("argv", [["simplify"], ["search", "--n-updates", "5"]])
+def test_self_check_mismatch_exits_3(capsys, monkeypatch, worked, argv):
+    # A DAG whose root is its first leaf does not evaluate like the input.
+    compact = _Rewriter.compact
+
+    def wrong_root(self):
+        d = compact(self)
+        return Dag(d.kinds, d.args, [0])
+
+    assert run(capsys, *argv[:1], worked, *argv[1:])[0] == 0
+    monkeypatch.setattr(_Rewriter, "compact", wrong_root)
+    code, out, err = run(capsys, *argv[:1], worked, *argv[1:])
+    assert code == 3 and out == ""
+    assert err == "opmin: error: self-check failed: the result does not evaluate like the input\n"
 
 
 @pytest.fixture

@@ -1,16 +1,21 @@
 """The rewriter's incremental pair index against a from-scratch recount.
 
-``_Rewriter`` keeps ``pair_nodes`` and its lazy rank heap up to date
-rewrite by rewrite. These tests run the elimination one extraction at a
-time and, after every step, rebuild the pair sets from the arena's child
-lists alone, with none of the rewriter's bookkeeping, and check that
-``best_pair`` is the minimum-rank repeated pair of that recount. Unlike
-``test_equivalence``, whose reference also runs ``_Rewriter``, this catches
-a bug in the index or the heap. The rewriter does not merge nodes, so a
-DAG on which an extraction would make two nodes identical, or whose
-add/mul child lists are not strictly increasing, must raise ValueError.
+``_Rewriter`` keeps ``pair_nodes`` and its rank heap up to date rewrite
+by rewrite. These tests run the elimination one extraction at a time and,
+after every step, rebuild the pair sets from the arena's child lists
+alone, with none of the rewriter's bookkeeping. Every repeated pair of
+that recount must be stored with the same node set, every stored set must
+match the recount, the heap must hold one rank per stored key that is
+never below the key's current count, and ``best_pair`` must be the
+minimum-rank repeated pair. Unlike ``test_equivalence``, whose reference
+also runs ``_Rewriter``, this catches a bug in the index or the heap. The
+rewriter does not merge nodes, so a DAG on which an extraction would make
+two nodes identical, whose add/mul child lists are not strictly
+increasing, or on which an extracted pair's node is already a same-kind
+child, must raise ValueError.
 """
 
+import signal
 from itertools import combinations
 
 import numpy as np
@@ -25,6 +30,25 @@ from test_expr import random_expression
 from test_horner import random_scheme
 
 
+@pytest.fixture(autouse=True)
+def fail_if_stuck():
+    """A heap bug can keep ``best_pair`` from returning; fail instead of hanging."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def stuck(signum, frame):
+        raise AssertionError("test still running after 120 s")
+
+    old = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def recount(rw):
     """Pair sets of the add/mul nodes, counted from scratch."""
     pairs: dict[tuple, set[int]] = {}
@@ -35,10 +59,35 @@ def recount(rw):
     return pairs
 
 
+def unpack(key: int) -> tuple[int, int, int]:
+    """(kind, a, b) of a packed pair key ``(a << 32 | b) << 1 | kind``."""
+    return key & 1, key >> 33, (key >> 1) & (2**32 - 1)
+
+
 def checked_step(rw):
-    """Compare the index with a recount; return ``best_pair()``."""
+    """Compare the index with a recount; return ``best_pair()``.
+
+    A pair held by one node when it is created has no stored set, so the
+    index must hold every repeated pair of the recount, and whatever it
+    does hold must match the recount.
+    """
     pairs = recount(rw)
-    assert {key: s for key, s in rw.pair_nodes.items() if s} == pairs
+    stored = {unpack(key): s for key, s in rw.pair_nodes.items()}
+    for key, s in pairs.items():
+        if len(s) >= 2:
+            assert stored.get(key) == s, key
+    for key, s in stored.items():
+        assert s == pairs.get(key, set()), key
+    # Heap ranks are ``key - (count << 65)``: one per key, never below the
+    # key's current count, and present for every repeated pair.
+    ranked = [(rank & (2**65 - 1), -(rank >> 65)) for rank in rw.heap]
+    counts = dict(ranked)
+    assert len(counts) == len(ranked)
+    for key, n in counts.items():
+        assert n >= len(rw.pair_nodes[key]), unpack(key)
+    for key, s in rw.pair_nodes.items():
+        if len(s) >= 2:
+            assert key in counts, unpack(key)
     repeated = [key for key, s in pairs.items() if len(s) >= 2]
     want = min(repeated, key=lambda key: (-len(pairs[key]), key[1], key[2], key[0]), default=None)
     best = rw.best_pair()
@@ -85,6 +134,20 @@ def test_extraction_that_would_merge_nodes_raises():
     args += [(y, z), (y, z, w), (w, 4), (u, 5), (u, 6), (7, 8), (w, 7, 8)]
     rw = _Rewriter.from_dag(Dag(kinds, args, [9, 10]))
     with pytest.raises(ValueError, match="node 5 into a copy of node 6"):
+        rw.run()
+
+
+def test_extraction_of_a_same_kind_child_raises():
+    # Node 5 = a+b is a child of the sum X = c+(a+b) (node 6). Extracting
+    # a+b from nodes 7 and 8 gives them the pair (c, 5), which X already
+    # holds alone, so that pair has no set and its count would be short.
+    a, b, c, d, e = range(5)
+    kinds = [K_VAR] * 5 + [K_SUM] * 4 + [K_PROD]
+    args = [(a,), (b,), (c,), (d,), (e,)]
+    args += [(a, b), (c, 5), (a, b, c, d), (a, b, c, e), (6, 7, 8)]
+    rw = _Rewriter.from_dag(Dag(kinds, args, [9]))
+    assert rw.best_pair() == (K_SUM, a, b)
+    with pytest.raises(ValueError, match="node 5, the pair .* is a same-kind child"):
         rw.run()
 
 

@@ -142,6 +142,25 @@ class TestCsv:
         with pytest.raises(ValueError, match="header"):
             read_csv(io.StringIO("a,b,c\n1,2,3\n"))
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,0.7,uct", "line 3: 3 fields, expected 10"),
+            ('1,0.7,uct,5,forward,1,9,5,4,"x,y",extra', "line 3: 11 fields, expected 10"),
+            ('1,0.7,uct,five,forward,1,9,5,4,"x,y"', "line 3: invalid literal"),
+            ('1,nan,uct,5,forward,1,9,5,4,"x,y"', "line 3: cp must be positive and finite, got nan"),
+            ('1,inf,uct,5,forward,1,9,5,4,"x,y"', "line 3: cp must be positive and finite, got inf"),
+            ('1,-0.5,uct,5,forward,1,9,5,4,"x,y"', "line 3: cp must be positive and finite"),
+            ('1,0,uct,5,forward,1,9,5,4,"x,y"', "line 3: cp must be positive and finite"),
+        ],
+        ids=["short-row", "long-row", "bad-int", "nan-cp", "inf-cp", "negative-cp", "zero-cp"],
+    )
+    def test_rejects_malformed_row_naming_its_line(self, row, message):
+        good = '0,0.5,uct,5,forward,0,9,5,4,"x,y"'
+        text = "\n".join([",".join(CSV_HEADER), good, row]) + "\n"
+        with pytest.raises(ValueError, match=f"^sweep CSV {message}"):
+            read_csv(io.StringIO(text))
+
 
 class TestRoi:
     def test_all_identical_ops_spans_full_range(self):
