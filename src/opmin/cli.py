@@ -3,11 +3,12 @@
 Subcommands: simplify, search, sweep, bruteforce, generate, analyze.
 Exit codes: 0 success; 1 malformed command line; 2 bad input or argument
 value (unreadable or unparsable file, unknown scheme atom or schedule, a
-number out of range such as --n-updates 0, a malformed sweep CSV); 3 the
-self-check failed: the DAG that simplify reports, or the DAG of search's
-best scheme, does not evaluate like the input at 3 seeded points modulo
-2^61-1, and nothing is printed to standard output; 141, silently, when
-standard output is closed early (``| head``).
+number out of range such as --n-updates 0 or --jobs 0, a malformed sweep
+CSV); 3 the self-check failed: the DAG that simplify reports, or the DAG
+of the best scheme of search or bruteforce, does not evaluate like the
+input at 3 seeded points modulo 2^61-1, and nothing is printed to
+standard output; 141, silently, when standard output is closed early
+(``| head``).
 ``--criterion uct`` means SA-UCT with the constant schedule.
 """
 
@@ -234,6 +235,7 @@ def cmd_bruteforce(args) -> int:
     e = _load_expression(args.exprfile)
     direction = Direction(args.direction)
     result = brute_force_search(e, direction, max_vars=args.max_vars)
+    _self_check(e, simplify(e, result.best_scheme).dag)
     if args.format == "json":
         print(
             json.dumps(

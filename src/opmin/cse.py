@@ -23,7 +23,10 @@ into a rewriter arena, then ``run`` and a count; ``simplify`` also returns
 the compacted DAG, and ``DeltaScorer.delta`` (the search's playout score)
 caches the count per order. The build walks term-index lists over
 per-variable exponent columns without recursion, so Horner depth is
-bounded by memory only. Reference path: ``apply_scheme``, ``build_dag``,
+bounded by memory only; it closes levels of one or two terms, the most
+common ones, in one pass, and memoizes leaf ids. Add/mul args are tuples,
+shared with the intern key, so an arena holds few containers that the
+garbage collector tracks. Reference path: ``apply_scheme``, ``build_dag``,
 ``eliminate_pairs``, ``dag_op_count``; the first two recurse once per
 Horner level and fail on deep input. Both paths intern nodes in the same
 order, so they give the same arena, DAG and count; the tests check this
@@ -177,7 +180,7 @@ class _Rewriter:
     """
 
     def __init__(self, kinds: list, args: list, roots: list, index: dict):
-        # Takes ownership of the arena lists; AC args must be lists.
+        # Takes ownership of the arena lists.
         self.kinds = kinds
         self.args = args
         self.roots = roots
@@ -214,11 +217,12 @@ class _Rewriter:
         args = []
         index = {}
         for i, (k, a) in enumerate(zip(d.kinds, d.args)):
-            key = (k, tuple(a))
+            a = tuple(a)
+            key = (k, a)
             if key in index:
                 raise ValueError(f"nodes {index[key]} and {i} are identical")
             index[key] = i
-            args.append(list(a) if k in _AC else a)
+            args.append(a)
         rw = cls(list(d.kinds), args, list(d.roots), index)
         kinds = d.kinds
         rw.inner.update(c for k, a in zip(kinds, d.args) if k in _AC for c in a if kinds[c] == k)
@@ -248,12 +252,13 @@ class _Rewriter:
         kind, a, b = key
         index = self.index
         args = self.args
-        pkey = (kind, (a, b))
+        pch = (a, b)
+        pkey = (kind, pch)
         p = index.get(pkey)
         if p is None:
             p = len(self.kinds)
             self.kinds.append(kind)
-            args.append([a, b])
+            args.append(pch)
             index[pkey] = p
         pair_nodes = self.pair_nodes
         packed = a << 33 | b << 1 | kind
@@ -265,8 +270,8 @@ class _Rewriter:
             rest = [c for c in ch if c != a and c != b]
             if p in rest:
                 raise ValueError(f"node {n} already holds node {p}, the pair {key} being extracted")
-            newch = sorted(rest + [p])
-            newkey = (kind, tuple(newch))
+            newch = tuple(sorted(rest + [p]))
+            newkey = (kind, newch)
             m = index.get(newkey)
             if m is not None:
                 raise ValueError(f"extracting {key} turns node {n} into a copy of node {m}")
@@ -280,7 +285,7 @@ class _Rewriter:
                     holders[c] = [n]
                 else:
                     ns.append(n)
-            del index[kind, tuple(ch)]
+            del index[kind, ch]
             index[newkey] = n
             args[n] = newch
         if p in self.inner:
@@ -494,6 +499,7 @@ class DeltaScorer:
         self.var_ids = variables(e)
         self._pos = {a: i for i, a in enumerate(self.var_ids)}
         self._coeffs = [t.coeff for t in e.terms]
+        self._exps = [t.exponents for t in e.terms]
         self._cols = [[0] * len(e.terms) for _ in self.var_ids]
         for i, t in enumerate(e.terms):
             for a, exp in t.exponents:
@@ -519,18 +525,39 @@ class DeltaScorer:
         level is a list of term indices plus ``sub``, the exponent already
         factored out of each variable on the path to it. Sums and products
         stay open, as ``(kind, ids)``, until their parent interns them, so
-        nested ones flatten as in the tree. Each level is a generator that
-        yields its sub-levels to one driver loop, so depth is not bounded
-        by Python's recursion limit.
-        """
-        var_ids, coeffs, cols = self.var_ids, self._coeffs, self._cols
-        vs = tuple(self._pos[a] for a in order)
-        kinds: list[int] = []
-        args: list = []
-        index: dict = {}
+        nested ones flatten as in the tree. A level of three or more terms
+        is a generator that yields its sub-levels to one driver loop, so
+        depth is not bounded by Python's recursion limit.
 
-        def intern(kind, arg) -> int:
-            key = (kind, tuple(arg))
+        A level of one term is its monomial. A level of two terms t1 < t2
+        is closed in one pass (``pair``). It splits on v only when both
+        terms hold v beyond ``sub``; then ``rest`` is empty and ``with_v``
+        is the same two terms with sub[v] raised to the smaller exponent,
+        so v cannot split them again. The generator chain would therefore
+        intern, in scan order, one factor ``v^(min - sub[v])`` for each
+        such v, then the cofactor monomials of t1 and of t2, then their
+        sum, and give the product of the factors and the sum, or the bare
+        sum when no variable split. ``pair`` interns the same nodes in the
+        same order. Every term of ``rest`` holds v at exactly sub[v], so its
+        scan resumes after v, at j + 1.
+
+        Leaves are memoized for one build: factor ids per (variable,
+        exponent) and constant ids per coefficient. A leaf's first use
+        goes through ``intern``, so ids do not change. ``monomial`` walks
+        only the term's own exponents, which are sorted by atom id like
+        ``var_ids``.
+        """
+        var_ids, coeffs, cols, exps = self.var_ids, self._coeffs, self._cols, self._exps
+        pos = self._pos
+        vs = tuple(pos[a] for a in order)
+        kinds: list[int] = []
+        args: list[tuple] = []
+        index: dict = {}
+        factors: list[dict[int, int]] = [{} for _ in cols]  # v -> {exponent: id}
+        consts: dict[int, int] = {}  # coefficient -> id
+
+        def intern(kind, arg: tuple) -> int:
+            key = (kind, arg)
             i = index.get(key)
             if i is None:
                 i = len(kinds)
@@ -540,24 +567,64 @@ class DeltaScorer:
             return i
 
         def factor(v, e) -> int:
-            b = intern(K_VAR, (var_ids[v],))
-            return b if e == 1 else intern(K_POW, (b, e))
+            memo = factors[v]
+            i = memo.get(e)
+            if i is None:
+                i = intern(K_VAR, (var_ids[v],))
+                if e != 1:
+                    i = intern(K_POW, (i, e))
+                memo[e] = i
+            return i
+
+        def const(c) -> int:
+            i = consts.get(c)
+            if i is None:
+                i = consts[c] = intern(K_CONST, (c,))
+            return i
 
         def close(kind, ids) -> int:
-            return ids[0] if len(ids) == 1 else intern(kind, sorted(ids))
+            return ids[0] if len(ids) == 1 else intern(kind, tuple(sorted(ids)))
 
         def parts(val, kind) -> list[int]:
             """Ids *val* adds to an open *kind* node; a same-kind open node flattens."""
             return val[1] if val[0] == kind else [close(*val)]
 
-        def monomial(t, sub):
-            exps = [(v, col[t] - s) for v, (col, s) in enumerate(zip(cols, sub)) if col[t] > s]
-            ids = [intern(K_CONST, (coeffs[t],))] if coeffs[t] != 1 or not exps else []
-            return K_PROD, ids + [factor(v, e) for v, e in exps]
+        def monomial(t, sub) -> int:
+            c = coeffs[t]
+            ids = [const(c)] if c != 1 else []
+            for a, x in exps[t]:
+                v = pos[a]
+                x -= sub[v]
+                if x > 0:
+                    i = factors[v].get(x)
+                    ids.append(factor(v, x) if i is None else i)
+            if len(ids) > 1:
+                return intern(K_PROD, tuple(sorted(ids)))
+            return ids[0] if ids else const(1)
+
+        def pair(t1, t2, sub, j):
+            fs = []
+            copied = False
+            for v in vs[j:]:
+                col = cols[v]
+                s = sub[v]
+                x1 = col[t1]
+                x2 = col[t2]
+                if x1 > s and x2 > s:
+                    e = (x1 if x1 < x2 else x2) - s
+                    fs.append(factor(v, e))
+                    if not copied:
+                        sub = sub.copy()
+                        copied = True
+                    sub[v] += e
+            m1 = monomial(t1, sub)
+            m2 = monomial(t2, sub)
+            if not fs:
+                return K_SUM, [m1, m2]
+            fs.append(intern(K_SUM, (m1, m2) if m1 < m2 else (m2, m1)))
+            return K_PROD, fs
 
         def horner(ts, sub, j):
-            if len(ts) == 1:
-                return monomial(ts[0], sub)
             # A variable before vs[j] occurs in fewer than two of the parent's
             # terms, so in fewer than two of ts, with the same exponents.
             for j in range(j, len(vs)):
@@ -569,8 +636,8 @@ class DeltaScorer:
                 rest = [t for t in ts if col[t] == s]
                 # Interning order follows the tree walk: the variable-free
                 # addend first, then the extracted factor, then the quotient.
-                addends = parts((yield rest, sub, j), K_SUM) if rest else []
-                e = min(col[t] for t in with_v) - s
+                addends = parts((yield rest, sub, j + 1), K_SUM) if rest else []
+                e = min(map(col.__getitem__, with_v)) - s
                 prod = [factor(v, e)]
                 q = sub.copy()
                 q[v] += e
@@ -579,19 +646,32 @@ class DeltaScorer:
                     return K_PROD, prod
                 addends.append(close(K_PROD, prod))
                 return K_SUM, addends
-            return K_SUM, [close(*monomial(t, sub)) for t in ts]
+            return K_SUM, [monomial(t, sub) for t in ts]
 
-        if not coeffs:
+        n = len(coeffs)
+        if not n:
             return _Rewriter(kinds, args, [intern(K_CONST, (0,))], index)
-        stack, val = [horner(range(len(coeffs)), [0] * len(cols), 0)], None
-        while stack:
-            try:
-                stack.append(horner(*stack[-1].send(val)))
+        # Levels of one or two terms are closed at once; larger ones are
+        # generators on the stack.
+        stack = []
+        ts, sub, j = range(n), [0] * len(cols), 0
+        while True:
+            if len(ts) > 2:
+                stack.append(horner(ts, sub, j))
                 val = None
-            except StopIteration as done:
-                stack.pop()
-                val = done.value
-        return _Rewriter(kinds, args, [close(*val)], index)
+            elif len(ts) == 2:
+                val = pair(ts[0], ts[1], sub, j)
+            else:
+                val = K_SUM, [monomial(ts[0], sub)]
+            while stack:
+                try:
+                    ts, sub, j = stack[-1].send(val)
+                    break
+                except StopIteration as done:
+                    stack.pop()
+                    val = done.value
+            else:
+                return _Rewriter(kinds, args, [close(*val)], index)
 
 
 def simplify(e: Expression, s: Scheme) -> SimplifyResult:

@@ -132,10 +132,12 @@ def run_sweep(
 
     ``jobs > 1`` distributes samples over worker processes; each worker owns
     its generator and score cache, and the result is identical to a
-    sequential run.
+    sequential run. Raises ValueError if ``jobs < 1``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     cps = sample_cps(config)
-    if jobs <= 1:
+    if jobs == 1:
         if scorer is None:
             scorer = DeltaScorer(e)
         return [_run_sample(e, config, k, cp, scorer) for k, cp in enumerate(cps)]

@@ -57,6 +57,12 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "opmin: error: need finite 0 < cp_min < cp_max\n"
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_jobs_below_one_exits_2(self, capsys, worked, jobs):
+        code, out, err = run(capsys, "sweep", worked, "--samples", "2", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err == f"opmin: error: jobs must be >= 1, got {jobs}\n"
+
     @pytest.mark.parametrize(
         "row, message",
         [
@@ -93,7 +99,7 @@ class TestExitCodes:
         assert err.startswith("opmin: error:")
 
 
-@pytest.mark.parametrize("argv", [["simplify"], ["search", "--n-updates", "5"]])
+@pytest.mark.parametrize("argv", [["simplify"], ["search", "--n-updates", "5"], ["bruteforce"]])
 def test_self_check_mismatch_exits_3(capsys, monkeypatch, worked, argv):
     # A DAG whose root is its first leaf does not evaluate like the input.
     compact = _Rewriter.compact

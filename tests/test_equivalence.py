@@ -8,6 +8,8 @@ elimination breaks ties by node id. ``simplify``'s per-occurrence Horner
 count, taken from the arena, must equal ``tree_op_count`` of the tree.
 """
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,64 @@ def test_pinned_workloads(name):
     for order in orders:
         for s in both_directions(order):
             assert_paths_agree(e, s)
+
+
+def all_partial_orders(e):
+    vs = variables(e)
+    return [order for r in range(len(vs) + 1) for order in permutations(vs, r)]
+
+
+# ``DeltaScorer.build`` closes a level of one or two terms in one pass,
+# without a generator: the whole expression, a variable-free ``rest`` or a
+# quotient ``with_v``. These inputs reach that path from every caller, with
+# coefficients +-1 and repeated values, under every full and partial order.
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x*y + x*z",
+        "x + y",
+        "x^2*y + x^3",
+        "-x^2*y^3 - x*y",
+        "3*x*y + 3*y*z",
+        "2*x^2*z + 3*x*z^3",
+        "-5*x^2*y*z + 5*x*y^3*z^2",
+        "7 + x",
+        "x^4",
+        "-x*y^2",
+    ],
+)
+def test_one_and_two_term_expressions(text):
+    e = parse(text)
+    for order in all_partial_orders(e):
+        for s in both_directions(order):
+            assert_paths_agree(e, s)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x*a^2 + x*a^3 + a + a^2",  # under (x, a): rest is two terms sharing a
+        "x*a^2*b + 2*x*a^3 + 2*a*b + 2*a^2*b^2 + b",  # rest of three, two after a
+        "x*y + x*z + w",  # with_v of two terms, rest of one
+        "2*x*y^2*z + 2*x*y^3 + y + 3*y*z + 3",
+        "2*x*a*b + 2*x*a^2 + 3*a*b + 3*b^2 + x^2 + 1",
+        "x^2*y^2 + x^3*y^3 + x*y + x^4 + y^4 - 1",
+    ],
+)
+def test_two_term_sublevels(text):
+    e = parse(text)
+    for order in all_partial_orders(e):
+        for s in both_directions(order):
+            assert_paths_agree(e, s)
+
+
+def test_random_small_expressions_with_repeated_coefficients():
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        e = random_expression(rng, n_vars=int(rng.integers(1, 5)), max_terms=4, coeff_range=2)
+        for _ in range(2):
+            for s in both_directions(random_scheme(rng, e).order):
+                assert_paths_agree(e, s)
 
 
 def test_empty_expression_scores_zero():

@@ -109,6 +109,11 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             small_config(samples=0)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_rejected(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            run_sweep(parse(WORKED), small_config(samples=1), jobs=jobs)
+
 
 class TestCsv:
     def test_header_schema(self):
