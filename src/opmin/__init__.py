@@ -18,13 +18,8 @@ from .expr import (
     variables,
 )
 from .horner import (
-    Const,
     Direction,
-    Power,
-    Product,
     Scheme,
-    Sum,
-    Var,
     apply_scheme,
     effective_order,
     occurrence_order,
@@ -39,7 +34,6 @@ from .cse import (
     build_dag,
     dag_listing,
     dag_op_count,
-    eliminate_pairs,
     eval_dag_mod_p,
     simplify,
 )
@@ -48,7 +42,6 @@ from .mcts import (
     SearchParams,
     SearchResult,
     brute_force_search,
-    repeat_search,
     search,
     temperature,
 )
@@ -66,13 +59,8 @@ __all__ = [
     "parse",
     "to_string",
     "variables",
-    "Const",
     "Direction",
-    "Power",
-    "Product",
     "Scheme",
-    "Sum",
-    "Var",
     "apply_scheme",
     "effective_order",
     "occurrence_order",
@@ -84,14 +72,12 @@ __all__ = [
     "build_dag",
     "dag_listing",
     "dag_op_count",
-    "eliminate_pairs",
     "eval_dag_mod_p",
     "simplify",
     "Schedule",
     "SearchParams",
     "SearchResult",
     "brute_force_search",
-    "repeat_search",
     "search",
     "temperature",
     "DeltaScorer",

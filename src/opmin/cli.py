@@ -10,6 +10,10 @@ input at 3 seeded points modulo 2^61-1, and nothing is printed to
 standard output; 141, silently, when standard output is closed early
 (``| head``).
 ``--criterion uct`` means SA-UCT with the constant schedule.
+search, and bruteforce with --format json, print one JSON result record:
+best_total, best_mul, best_add, scheme (the order as "a,b"), direction
+("forward" or "backward"), then criterion, cp, n_updates, repeats, seed
+(search) or schemes_evaluated (bruteforce).
 """
 
 from __future__ import annotations
@@ -27,16 +31,11 @@ from .horner import (
     Direction,
     Scheme,
     occurrence_order,
+    order_to_string,
     scheme_from_string,
     scheme_to_string,
 )
-from .mcts import (
-    Schedule,
-    SearchParams,
-    brute_force_search,
-    repeat_search,
-    result_to_json_dict,
-)
+from .mcts import Schedule, SearchParams, brute_force_search, search
 from .sweep import (
     DEFAULT_EPSILON,
     SweepConfig,
@@ -158,6 +157,20 @@ def _ops_json(c) -> dict:
     return {"mul": c.mul, "add": c.add, "total": c.total}
 
 
+def _result_json(result, atoms, **extra) -> str:
+    """The result record of search and bruteforce; *extra* keys come last."""
+    best, scheme = result.best_delta, result.best_scheme
+    record = {
+        "best_total": best.total,
+        "best_mul": best.mul,
+        "best_add": best.add,
+        "scheme": order_to_string(scheme.order, atoms),
+        "direction": scheme.direction.value,
+        **extra,
+    }
+    return json.dumps(record, indent=2)
+
+
 def cmd_simplify(args) -> int:
     e = _load_expression(args.exprfile)
     direction = Direction(args.direction)
@@ -200,9 +213,19 @@ def cmd_search(args) -> int:
         direction=Direction(args.direction),
         seed=args.seed,
     )
-    result = repeat_search(e, params)
+    result = search(e, params)
     _self_check(e, simplify(e, result.best_scheme).dag)
-    print(json.dumps(result_to_json_dict(result, params, e.atoms), indent=2))
+    print(
+        _result_json(
+            result,
+            e.atoms,
+            criterion=params.schedule.criterion,
+            cp=params.cp,
+            n_updates=params.n_updates,
+            repeats=params.repeats,
+            seed=params.seed,
+        )
+    )
     return 0
 
 
@@ -237,18 +260,7 @@ def cmd_bruteforce(args) -> int:
     result = brute_force_search(e, direction, max_vars=args.max_vars)
     _self_check(e, simplify(e, result.best_scheme).dag)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "best_total": result.best_delta.total,
-                    "best_mul": result.best_delta.mul,
-                    "best_add": result.best_delta.add,
-                    "scheme": scheme_to_string(result.best_scheme, e.atoms),
-                    "schemes_evaluated": result.iterations_run,
-                },
-                indent=2,
-            )
-        )
+        print(_result_json(result, e.atoms, schemes_evaluated=result.iterations_run))
     else:
         print(f"minimum: {result.best_delta}")
         print(f"scheme:  {scheme_to_string(result.best_scheme, e.atoms)}")
@@ -312,7 +324,7 @@ def main(argv=None) -> int:
     except _SelfCheckError as exc:
         print(f"opmin: error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ParseError, ValueError, KeyError) as exc:
+    except (OSError, ParseError, ValueError) as exc:
         print(f"opmin: error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,7 @@ bounded by memory only; it closes levels of one or two terms, the most
 common ones, in one pass, and memoizes leaf ids. Add/mul args are tuples,
 shared with the intern key, so an arena holds few containers that the
 garbage collector tracks. Reference path: ``apply_scheme``, ``build_dag``,
-``eliminate_pairs``, ``dag_op_count``; the first two recurse once per
+``_Rewriter.from_dag``, ``dag_op_count``; the first two recurse once per
 Horner level and fail on deep input. Both paths intern nodes in the same
 order, so they give the same arena, DAG and count; the tests check this
 node for node on random inputs.
@@ -214,6 +214,7 @@ class _Rewriter:
 
     @classmethod
     def from_dag(cls, d: Dag) -> "_Rewriter":
+        """Rewriter over a copy of *d*; ValueError if two nodes are identical."""
         args = []
         index = {}
         for i, (k, a) in enumerate(zip(d.kinds, d.args)):
@@ -369,19 +370,6 @@ class _Rewriter:
                 kinds.append(k)
                 args.append(arg)
         return Dag(kinds, args, [remap[r] for r in self.roots])
-
-
-def eliminate_pairs(d: Dag) -> Dag:
-    """Extract the most frequent same-operator child pairs until fixpoint.
-
-    Raises ValueError if *d* has two identical nodes or an add/mul child
-    list that is not strictly increasing, or if an extraction would make
-    two nodes identical (possible only when a node has a child of its own
-    kind; see ``_Rewriter``).
-    """
-    rw = _Rewriter.from_dag(d)
-    rw.run()
-    return rw.compact()
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ class AtomTable:
         try:
             return self._ids[text]
         except KeyError:
-            raise KeyError(f"unknown atom {text!r}") from None
+            raise ValueError(f"unknown atom {text!r}") from None
 
     def text(self, aid: int) -> str:
         return self._texts[aid]

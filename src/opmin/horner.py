@@ -242,8 +242,13 @@ def occurrence_order(e: Expression) -> Scheme:
 # ---------------------------------------------------------------------------
 
 
+def order_to_string(order: tuple[int, ...], atoms: AtomTable) -> str:
+    """The order as atom texts joined by commas: "y,x"."""
+    return ",".join(atoms.text(a) for a in order)
+
+
 def scheme_to_string(s: Scheme, atoms: AtomTable) -> str:
-    return ",".join(atoms.text(a) for a in s.order) + ";" + s.direction.value
+    return order_to_string(s.order, atoms) + ";" + s.direction.value
 
 
 def scheme_from_string(text: str, atoms: AtomTable) -> Scheme:

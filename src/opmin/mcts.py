@@ -9,15 +9,17 @@ iterations explore broadly and late ones deepen the best branch; with the
 constant schedule SA-UCT is plain UCT.
 
 The best score ever seen is tracked over complete playout paths, which may
-extend beyond the stored tree. All randomness flows through one seeded
-PCG64 generator per run; repeated runs use consecutive seeds, so every
-result is reproducible from (expression, params).
+extend beyond the stored tree. ``search`` makes ``params.repeats``
+independent runs seeded seed, seed+1, ... that share one scorer, and
+returns the best run (the earliest on a tie). All randomness flows through
+one seeded PCG64 generator per run, so every result is reproducible from
+(expression, params).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
@@ -67,11 +69,6 @@ class Schedule:
     def criterion(self) -> str:
         """Output label: "uct" for the constant schedule, else "sa-uct"."""
         return "uct" if self.kind == self.CONSTANT else "sa-uct"
-
-    def __str__(self) -> str:
-        if self.kind == self.EXPONENTIAL:
-            return f"exp:{self.half_life:g}"
-        return self.kind
 
 
 @dataclass(frozen=True)
@@ -228,38 +225,26 @@ def run_iteration(state: SearchState, i: int, params: SearchParams, rng) -> int:
 
 
 def search(e: Expression, params: SearchParams, scorer: DeltaScorer | None = None) -> SearchResult:
-    """Run n_updates tree iterations and return the best scheme found."""
+    """Best of ``params.repeats`` runs seeded seed, seed+1, ...; ties keep the earliest."""
     vs = variables(e)
     if not vs:
         raise ValueError("expression has no variables to order")
     if scorer is None:
         scorer = DeltaScorer(e)
-    rng = np.random.Generator(np.random.PCG64(params.seed))
-    state = SearchState(
-        root=Node(None, sorted(vs)),
-        naive_total=naive_op_count(e).total,
-        scorer=scorer,
-    )
-    for i in range(params.n_updates):
-        run_iteration(state, i, params, rng)
-    return SearchResult(
-        best_delta=state.best_ops,
-        best_scheme=Scheme(state.best_order, params.direction),
-        deltas_per_iteration=state.deltas,
-        iterations_run=params.n_updates,
-    )
-
-
-def repeat_search(e: Expression, params: SearchParams, scorer: DeltaScorer | None = None) -> SearchResult:
-    """Best of R independent runs seeded seed, seed+1, ...; ties keep the earliest."""
-    if scorer is None:
-        scorer = DeltaScorer(e)
+    naive_total = naive_op_count(e).total
     best: SearchResult | None = None
-    for r in range(params.repeats):
-        run = replace(params, seed=params.seed + r, repeats=1)
-        result = search(e, run, scorer=scorer)
-        if best is None or result.best_delta.total < best.best_delta.total:
-            best = result
+    for seed in range(params.seed, params.seed + params.repeats):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        state = SearchState(root=Node(None, sorted(vs)), naive_total=naive_total, scorer=scorer)
+        for i in range(params.n_updates):
+            run_iteration(state, i, params, rng)
+        if best is None or state.best_ops.total < best.best_delta.total:
+            best = SearchResult(
+                best_delta=state.best_ops,
+                best_scheme=Scheme(state.best_order, params.direction),
+                deltas_per_iteration=state.deltas,
+                iterations_run=params.n_updates,
+            )
     return best
 
 
@@ -293,19 +278,3 @@ def brute_force_search(
         deltas_per_iteration=[],
         iterations_run=count,
     )
-
-
-def result_to_json_dict(result: SearchResult, params: SearchParams, atoms) -> dict:
-    """Wire format for search results."""
-    return {
-        "best_total": result.best_delta.total,
-        "best_mul": result.best_delta.mul,
-        "best_add": result.best_delta.add,
-        "scheme": ",".join(atoms.text(a) for a in result.best_scheme.order),
-        "direction": params.direction.value,
-        "criterion": params.schedule.criterion,
-        "cp": params.cp,
-        "n_updates": params.n_updates,
-        "repeats": params.repeats,
-        "seed": params.seed,
-    }

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Expression
-from .horner import Direction
+from .horner import Direction, order_to_string
 from .cse import DeltaScorer
 from .mcts import Schedule, SearchParams, search
 
@@ -102,7 +102,7 @@ def _run_sample(e: Expression, config: SweepConfig, k: int, cp: float, scorer) -
         ops_total=result.best_delta.total,
         ops_mul=result.best_delta.mul,
         ops_add=result.best_delta.add,
-        scheme=",".join(e.atoms.text(a) for a in result.best_scheme.order),
+        scheme=order_to_string(result.best_scheme.order, e.atoms),
     )
 
 

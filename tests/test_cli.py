@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 import opmin
 from opmin.cli import main
 from opmin.cse import Dag, _Rewriter
+from opmin.sweep import SweepRow, read_csv
 
 from test_expr import WORKED
 
@@ -17,6 +19,13 @@ from test_expr import WORKED
 def worked(tmp_path):
     path = tmp_path / "worked.txt"
     path.write_text(WORKED + "\n")
+    return str(path)
+
+
+@pytest.fixture
+def three_vars(tmp_path):
+    path = tmp_path / "three.txt"
+    path.write_text("x^2*y*z + 3*x*y^2 + x*z^2 + y^2*z + 2*x*y*z\n")
     return str(path)
 
 
@@ -96,7 +105,7 @@ class TestExitCodes:
     def test_unknown_scheme_atom_exits_2(self, capsys, worked):
         code, _, err = run(capsys, "simplify", worked, "--scheme", "x,w")
         assert code == 2
-        assert err.startswith("opmin: error:")
+        assert err == "opmin: error: unknown atom 'w'\n"
 
 
 @pytest.mark.parametrize("argv", [["simplify"], ["search", "--n-updates", "5"], ["bruteforce"]])
@@ -166,8 +175,53 @@ class TestJsonSchemas:
         code, out, _ = run(capsys, "bruteforce", worked, "--format", "json")
         assert code == 0
         doc = json.loads(out)
-        assert list(doc) == ["best_total", "best_mul", "best_add", "scheme", "schemes_evaluated"]
+        assert list(doc) == [
+            "best_total",
+            "best_mul",
+            "best_add",
+            "scheme",
+            "direction",
+            "schemes_evaluated",
+        ]
         assert doc["best_total"] == 6 and doc["schemes_evaluated"] == 6
+
+    def test_bruteforce_scheme_round_trips_through_simplify(self, capsys, three_vars):
+        code, out, _ = run(
+            capsys, "bruteforce", three_vars, "--direction", "backward", "--format", "json"
+        )
+        assert code == 0
+        best = json.loads(out)
+        assert best["direction"] == "backward" and ";" not in best["scheme"]
+        argv = ["--scheme", best["scheme"], "--direction", best["direction"], "--format", "json"]
+        code, out, _ = run(capsys, "simplify", three_vars, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["cse"]["total"] == best["best_total"]
+        assert doc["scheme"] == f"{best['scheme']};backward"
+
+    def test_sweep_json_rows_match_csv_rows(self, capsys, worked):
+        argv = ["sweep", worked, "--samples", "4", "--n-updates", "6", "--seed", "2"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        for row in doc:
+            assert list(row) == [
+                "sample_index",
+                "cp",
+                "criterion",
+                "n_updates",
+                "direction",
+                "seed",
+                "ops_total",
+                "ops_mul",
+                "ops_add",
+                "scheme",
+            ]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        csv_rows = {r.seed: r for r in read_csv(io.StringIO(out))}
+        assert sorted(csv_rows) == [2, 3, 4, 5]
+        assert {row["seed"]: SweepRow(**row) for row in doc} == csv_rows
 
 
 class TestCriterionLabel:

@@ -9,10 +9,10 @@ from opmin.cse import (
     K_PROD,
     K_SUM,
     Dag,
+    _Rewriter,
     build_dag,
     dag_listing,
     dag_op_count,
-    eliminate_pairs,
     eval_dag_mod_p,
     simplify,
 )
@@ -22,6 +22,13 @@ from test_horner import random_scheme
 
 P31 = 2**31 - 1
 _AC = (K_SUM, K_PROD)
+
+
+def eliminate_pairs(d: Dag) -> Dag:
+    """Pair elimination on any DAG: ``_Rewriter.from_dag`` -> ``run`` -> ``compact``."""
+    rw = _Rewriter.from_dag(d)
+    rw.run()
+    return rw.compact()
 
 
 # ---------------------------------------------------------------------------

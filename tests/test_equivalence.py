@@ -2,9 +2,9 @@
 
 Production: ``DeltaScorer.build`` -> ``_Rewriter.run`` -> ``compact`` (for
 ``simplify``) or ``live_op_count`` (for ``DeltaScorer.delta``).
-Reference: ``apply_scheme`` -> ``build_dag`` -> ``eliminate_pairs`` ->
-``dag_op_count``. The two must agree node for node, not only in the count:
-elimination breaks ties by node id. ``simplify``'s per-occurrence Horner
+Reference: ``apply_scheme`` -> ``build_dag`` -> ``eliminate_pairs`` (the
+``test_cse`` helper) -> ``dag_op_count``. The two must agree node for node,
+not only in the count: elimination breaks ties by node id. ``simplify``'s per-occurrence Horner
 count, taken from the arena, must equal ``tree_op_count`` of the tree.
 """
 
@@ -18,13 +18,13 @@ from opmin.cse import (
     DeltaScorer,
     build_dag,
     dag_op_count,
-    eliminate_pairs,
     eval_dag_mod_p,
     simplify,
 )
 from opmin.expr import OpCount, eval_mod_p, parse, variables
 from opmin.horner import Direction, Scheme, apply_scheme, effective_order, tree_op_count
 
+from test_cse import eliminate_pairs
 from test_expr import random_expression
 from test_horner import random_scheme
 

@@ -222,5 +222,5 @@ class TestSchemeSerialization:
 
     def test_unknown_atom_rejected(self):
         e = parse("x + y")
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown atom 'w'"):
             scheme_from_string("w", e.atoms)
