@@ -112,7 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cp-max", type=float, default=10.0)
     p.add_argument("--samples", type=int, default=4000)
     _add_search_flags(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes, at most --samples; they share one score cache",
+    )
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default="-", help="output path (default stdout)")
     p.set_defaults(func=cmd_sweep)

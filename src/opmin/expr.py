@@ -171,9 +171,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             toks.append((_OP, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # int() takes these; isdigit() also admits '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append((_INT, int(text[i:j]), i))
             i = j

@@ -10,13 +10,20 @@ decaying temperature widens the usable C_p range.
 Everything is deterministic in the configuration: C_p values come from one
 seeded stream, run k uses seed base_seed+k, and rows are emitted in sample
 order even when computed concurrently.
+
+All runs of a sweep share one score cache. With several worker processes
+the parent holds it: each task carries the entries its worker has not been
+sent yet, and each result brings back the entries the worker computed, so an
+order is evaluated about once per sweep rather than once per worker.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import traceback
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -106,22 +113,6 @@ def _run_sample(e: Expression, config: SweepConfig, k: int, cp: float, scorer) -
     )
 
 
-_worker_state: dict = {}
-
-
-def _init_worker(e: Expression, config: SweepConfig):
-    _worker_state["expr"] = e
-    _worker_state["config"] = config
-    _worker_state["scorer"] = DeltaScorer(e)
-
-
-def _worker_run(task):
-    k, cp = task
-    return _run_sample(
-        _worker_state["expr"], _worker_state["config"], k, cp, _worker_state["scorer"]
-    )
-
-
 def run_sweep(
     e: Expression,
     config: SweepConfig,
@@ -130,21 +121,124 @@ def run_sweep(
 ) -> list[SweepRow]:
     """All sweep rows in sample order.
 
-    ``jobs > 1`` distributes samples over worker processes; each worker owns
-    its generator and score cache, and the result is identical to a
-    sequential run. Raises ValueError if ``jobs < 1``.
+    ``scorer`` (a new DeltaScorer when None) is the sweep's one score cache
+    for every value of ``jobs``. ``jobs > 1`` runs the samples in
+    ``min(jobs, samples)`` worker processes (none for a single sample) that
+    share this cache through the parent; the rows, and the cache left in
+    ``scorer``, equal those of a sequential run. Raises ValueError if
+    ``jobs < 1`` and RuntimeError if a worker dies; an exception raised in a
+    worker is re-raised here.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    cps = sample_cps(config)
-    if jobs == 1:
-        if scorer is None:
-            scorer = DeltaScorer(e)
-        return [_run_sample(e, config, k, cp, scorer) for k, cp in enumerate(cps)]
-    import multiprocessing as mp
+    if scorer is None:
+        scorer = DeltaScorer(e)
+    tasks = list(enumerate(sample_cps(config)))
+    workers = min(jobs, len(tasks))
+    if workers == 1:
+        return [_run_sample(e, config, k, cp, scorer) for k, cp in tasks]
+    return _run_in_workers(e, config, tasks, workers, scorer.cache)
 
-    with mp.Pool(jobs, initializer=_init_worker, initargs=(e, config)) as pool:
-        rows = pool.map(_worker_run, list(enumerate(cps)), chunksize=8)
+
+def _worker(conn, parent_end, e: Expression, config: SweepConfig) -> None:
+    """Run the samples the parent sends until it sends None or is gone.
+
+    A task is ``((k, cp), entries)``; the entries go into this worker's
+    cache before the search. The reply is ``(True, (row, new))``, where
+    ``new`` is the tail of the insertion-ordered cache that the search
+    added, or ``(False, (exception, traceback text))``. ``parent_end`` is
+    this worker's copy of the parent's end of the pipe; closing it lets
+    ``recv`` see end-of-file once the parent has exited.
+    """
+    parent_end.close()
+    scorer = DeltaScorer(e)
+    cache = scorer.cache
+    try:
+        while (task := conn.recv()) is not None:
+            (k, cp), entries = task
+            cache.update(entries)
+            known = len(cache)
+            try:
+                row = _run_sample(e, config, k, cp, scorer)
+            except Exception as exc:
+                conn.send((False, (exc, traceback.format_exc())))
+                return
+            new = list(islice(reversed(cache.items()), len(cache) - known))
+            new.reverse()
+            conn.send((True, (row, new)))
+    except (EOFError, BrokenPipeError):
+        return  # the parent has exited
+
+
+def _run_in_workers(e, config, tasks, workers: int, cache: dict) -> list[SweepRow]:
+    """Rows of *tasks*, run one sample at a time by each of *workers* processes.
+
+    The parent holds the one *cache*: a task carries the entries its worker
+    has not been sent yet, and a result's entries are added here and queued
+    for the other workers. A search makes the same scorer calls whether they
+    hit or miss, so a row does not depend on which worker ran it or on what
+    that worker had been sent.
+    """
+    import multiprocessing as mp
+    from multiprocessing.connection import wait
+
+    ctx = mp.get_context()
+    conns, procs = [], []
+    unsent = [list(cache.items()) for _ in range(workers)]
+    pending = iter(tasks)
+    busy: dict = {}  # connection -> worker index
+    rows: list[SweepRow] = []
+
+    def send_next(w: int) -> None:
+        task = next(pending, None)
+        if task is not None:
+            conns[w].send((task, unsent[w]))
+            unsent[w] = []
+            busy[conns[w]] = w
+
+    try:
+        for _ in range(workers):
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(target=_worker, args=(child, conn, e, config), daemon=True)
+            proc.start()
+            child.close()
+            conns.append(conn)
+            procs.append(proc)
+        for w in range(workers):
+            send_next(w)
+        while busy:
+            for conn in wait(list(busy)):
+                w = busy.pop(conn)
+                try:
+                    ok, payload = conn.recv()
+                except (EOFError, OSError):
+                    procs[w].join()
+                    raise RuntimeError(
+                        f"sweep worker exited with code {procs[w].exitcode}"
+                    ) from None
+                if not ok:
+                    exc, tb = payload
+                    raise exc from RuntimeError(f"in sweep worker {w}:\n{tb}")
+                row, entries = payload
+                rows.append(row)
+                for order, counts in entries:
+                    if order not in cache:
+                        cache[order] = counts
+                        for other in range(workers):
+                            if other != w:
+                                unsent[other].append((order, counts))
+                send_next(w)
+        for conn in conns:
+            conn.send(None)
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join()
     return sorted(rows, key=lambda r: r.sample_index)
 
 

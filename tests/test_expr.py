@@ -111,6 +111,17 @@ class TestParse:
             parse("x + ?")
         assert exc.value.position == 4
 
+    @pytest.mark.parametrize("text, position", [("x^²", 2), ("2²*x", 1), ("²", 0)])
+    def test_superscript_digit_is_an_unexpected_character(self, text, position):
+        with pytest.raises(ParseError, match="unexpected character '²'") as exc:
+            parse(text)
+        assert exc.value.position == position
+
+    def test_superscript_digit_continues_an_identifier(self):
+        e = parse("x² + 2*x²")
+        assert [e.atoms.text(a) for a in variables(e)] == ["x²"]
+        assert [t.coeff for t in e.terms] == [3]
+
 
 class TestNaiveOpCount:
     def test_worked_example_is_nine_and_two(self):

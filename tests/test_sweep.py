@@ -1,9 +1,19 @@
 import io
 import math
+import multiprocessing.process
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opmin
+from opmin.cse import DeltaScorer
 from opmin.expr import parse, variables
 from opmin.horner import Direction
 from opmin.mcts import Schedule, SearchParams, brute_force_search, search
@@ -18,7 +28,7 @@ from opmin.sweep import (
     sample_cps,
     write_csv,
 )
-from opmin.benchgen import RandomExprParams, random_expr
+from opmin.benchgen import RandomExprParams, random_expr, resultant_expr
 from opmin.cli import main
 
 from test_expr import WORKED
@@ -113,6 +123,164 @@ class TestRunSweep:
     def test_jobs_below_one_is_rejected(self, jobs):
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
             run_sweep(parse(WORKED), small_config(samples=1), jobs=jobs)
+
+
+def random_small(seed):
+    return random_expr(RandomExprParams(n_vars=4, n_terms=8, max_exponent=3, coeff_range=4, seed=seed))
+
+
+def script_env() -> dict:
+    return dict(os.environ, PYTHONPATH=str(Path(opmin.__file__).resolve().parent.parent))
+
+
+def run_script(code: str) -> str:
+    """Stdout of *code* in a fresh interpreter; a hang fails after 60 s."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=script_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Runs a jobs=2 sweep under the fork start method with _run_sample replaced,
+# in the parent before the workers fork, by one that fails on sample 3.
+FAILING_SAMPLE = """
+import multiprocessing, os
+multiprocessing.set_start_method("fork")
+from opmin import sweep
+from opmin.expr import parse
+run = sweep._run_sample
+def fail(e, config, k, cp, scorer):
+    if k == 3:
+        {failure}
+    return run(e, config, k, cp, scorer)
+sweep._run_sample = fail
+config = sweep.SweepConfig(cp_min=0.01, cp_max=10.0, samples=8, n_updates=10)
+try:
+    sweep.run_sweep(parse({worked!r}), config, jobs=2)
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+class TestSharedCache:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: parse(WORKED), lambda: resultant_expr(3, 2), *(lambda s=s: random_small(s) for s in (1, 2, 3))],
+        ids=["worked", "res32", "random1", "random2", "random3"],
+    )
+    def test_jobs_two_leaves_the_sequential_rows_and_cache(self, make):
+        e = make()
+        cfg = small_config(samples=10, n_updates=40)
+        one, two = DeltaScorer(e), DeltaScorer(e)
+        assert run_sweep(e, cfg, jobs=2, scorer=two) == run_sweep(e, cfg, jobs=1, scorer=one)
+        assert two.cache == one.cache
+
+    def test_more_workers_than_cores_lose_no_entry(self):
+        e = resultant_expr(3, 2)
+        cfg = small_config(samples=24, n_updates=40)
+        one, four = DeltaScorer(e), DeltaScorer(e)
+        assert run_sweep(e, cfg, jobs=4, scorer=four) == run_sweep(e, cfg, jobs=1, scorer=one)
+        assert four.cache == one.cache
+
+    def test_workers_are_sent_the_callers_cache(self):
+        e = resultant_expr(3, 2)
+        cfg = small_config(samples=6, n_updates=30)
+        scorer = DeltaScorer(e)
+        run_sweep(e, cfg, jobs=1, scorer=scorer)
+        # Counts raised by 100 for every order this sweep scores. A worker
+        # that was not sent them would score those orders itself and steer
+        # its searches differently.
+        marked = {order: (mul + 100, add) for order, (mul, add) in scorer.cache.items()}
+        rows, caches = [], []
+        for jobs in (1, 2):
+            scorer = DeltaScorer(e)
+            scorer.cache.update(marked)
+            rows.append(run_sweep(e, cfg, jobs=jobs, scorer=scorer))
+            caches.append(scorer.cache)
+        assert rows[1] == rows[0]
+        assert caches[1] == caches[0]
+
+    @pytest.mark.parametrize("jobs, samples, started", [(4, 2, 2), (8, 1, 0), (2, 5, 2)])
+    def test_starts_at_most_samples_workers(self, monkeypatch, jobs, samples, started):
+        starts = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counted(proc):
+            starts.append(proc)
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+        e = parse(WORKED)
+        cfg = small_config(samples=samples, n_updates=10)
+        assert run_sweep(e, cfg, jobs=jobs) == run_sweep(e, cfg, jobs=1)
+        assert len(starts) == started
+
+    def test_worker_that_dies_raises_runtime_error(self):
+        out = run_script(FAILING_SAMPLE.format(failure="os._exit(1)", worked=WORKED))
+        assert out == "RuntimeError sweep worker exited with code 1\n"
+
+    def test_worker_exception_is_reraised_with_its_type(self):
+        failure = 'raise ZeroDivisionError("sample 3")'
+        out = run_script(FAILING_SAMPLE.format(failure=failure, worked=WORKED))
+        assert out == "ZeroDivisionError sample 3\n"
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+    def test_workers_exit_when_the_parent_is_killed(self):
+        code = f"""
+import multiprocessing, os, time
+multiprocessing.set_start_method("fork")
+from opmin import sweep
+from opmin.expr import parse
+run = sweep._run_sample
+def announce(e, config, k, cp, scorer):
+    if k < 2:
+        print(os.getpid(), flush=True)
+        time.sleep(0.5)
+    return run(e, config, k, cp, scorer)
+sweep._run_sample = announce
+config = sweep.SweepConfig(cp_min=0.01, cp_max=10.0, samples=10000, n_updates=10)
+sweep.run_sweep(parse({WORKED!r}), config, jobs=2)
+"""
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, bufsize=0, env=script_env()
+        )
+        pids = []
+        try:
+            for _ in range(2):
+                assert select.select([proc.stdout], [], [], 60)[0], "no worker started"
+                pids.append(int(proc.stdout.readline()))
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+            proc.stdout.close()
+
+        def running(pid):
+            try:
+                state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                return False
+            return state != "Z"
+
+        deadline = time.monotonic() + 30
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        left = [pid for pid in pids if running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
+
+    def test_spawn_start_method_gives_sequential_rows(self):
+        code = f"""
+import multiprocessing
+multiprocessing.set_start_method("spawn")
+from opmin.expr import parse
+from opmin.sweep import SweepConfig, run_sweep
+e = parse({WORKED!r})
+config = SweepConfig(cp_min=0.01, cp_max=10.0, samples=6, n_updates=20, base_seed=4)
+print(run_sweep(e, config, jobs=2) == run_sweep(e, config, jobs=1))
+"""
+        assert run_script(code) == "True\n"
 
 
 class TestCsv:
