@@ -14,15 +14,26 @@ search, and bruteforce with --format json, print one JSON result record:
 best_total, best_mul, best_add, scheme (the order as "a,b"), direction
 ("forward" or "backward"), then criterion, cp, n_updates, repeats, seed
 (search) or schemes_evaluated (bruteforce).
+sweep writes one CSV row per run, in sample order, with the columns
+sample, cp, criterion, n_updates, direction, seed, ops_total, ops_mul,
+ops_add, scheme; with --format json it writes a list of rows whose keys
+are the same names. analyze reports the keys samples, cp_min, cp_max,
+global_min_ops, epsilon, bins, bin_log_width, roi_log_width,
+roi_cp_interval (the [low, high] C_p band, or null when all cp values are
+equal); with --format csv it writes a key,value header, then one row per
+key whose value is the JSON text of the value.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import os
 import random
 import sys
+from dataclasses import asdict
 
 from . import benchgen
 from .cse import dag_listing, eval_dag_mod_p, simplify
@@ -158,6 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """Standard output when *path* is "-", else the file *path*, closed after use."""
+    if path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+
+
 def _ops_json(c) -> dict:
     return {"mul": c.mul, "add": c.add, "total": c.total}
 
@@ -246,16 +267,12 @@ def cmd_sweep(args) -> int:
         base_seed=args.seed,
     )
     rows = run_sweep(e, config, jobs=args.jobs)
-    out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8", newline="")
-    try:
+    with _output(args.out) as out:
         if args.format == "json":
-            json.dump([row.__dict__ for row in rows], out, indent=2)
+            json.dump([asdict(row) for row in rows], out, indent=2)
             out.write("\n")
         else:
             write_csv(rows, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -274,12 +291,8 @@ def cmd_bruteforce(args) -> int:
 
 
 def _write_expression(e, out_path: str) -> int:
-    text = to_string(e) + "\n"
-    if out_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _output(out_path) as out:
+        out.write(to_string(e) + "\n")
     return 0
 
 
@@ -307,9 +320,9 @@ def cmd_analyze(args) -> int:
         rows = read_csv(fh)
     report = analyze_rows(rows, epsilon=args.epsilon)
     if args.format == "csv":
-        print("key,value")
-        for k, v in report.items():
-            print(f"{k},{v}")
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(["key", "value"])
+        w.writerows((k, json.dumps(v)) for k, v in report.items())
     else:
         print(json.dumps(report, indent=2))
     return 0

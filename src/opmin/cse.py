@@ -73,7 +73,6 @@ class Dag:
 class SimplifyResult:
     dag: Dag
     ops: OpCount
-    scheme: Scheme
     horner_ops: OpCount  # the Horner form before sharing and elimination
 
 
@@ -672,4 +671,4 @@ def simplify(e: Expression, s: Scheme) -> SimplifyResult:
     horner_ops = OpCount(*rw.occurrence_op_count())
     rw.run()
     dag = rw.compact()
-    return SimplifyResult(dag=dag, ops=dag_op_count(dag), scheme=s, horner_ops=horner_ops)
+    return SimplifyResult(dag=dag, ops=dag_op_count(dag), horner_ops=horner_ops)

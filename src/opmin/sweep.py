@@ -7,6 +7,10 @@ observed operation count stays within (1+epsilon) of the global minimum;
 comparing this width between selection criteria quantifies how much a
 decaying temperature widens the usable C_p range.
 
+``SweepRow`` defines the schema of a sweep record in CSV and JSON: its
+fields, in order, are the CSV columns (``CSV_HEADER``) and the keys of a
+JSON row, and ``read_csv`` converts each cell to its field's declared type.
+
 Everything is deterministic in the configuration: C_p values come from one
 seeded stream, run k uses seed base_seed+k, and rows are emitted in sample
 order even when computed concurrently.
@@ -22,7 +26,8 @@ from __future__ import annotations
 import csv
 import math
 import traceback
-from dataclasses import dataclass
+import typing
+from dataclasses import astuple, dataclass, fields
 from itertools import islice
 
 import numpy as np
@@ -31,19 +36,6 @@ from .expr import Expression
 from .horner import Direction, order_to_string
 from .cse import DeltaScorer
 from .mcts import Schedule, SearchParams, search
-
-CSV_HEADER = [
-    "sample",
-    "cp",
-    "criterion",
-    "n_updates",
-    "direction",
-    "seed",
-    "ops_total",
-    "ops_mul",
-    "ops_add",
-    "scheme",
-]
 
 ROI_BINS = 50
 DEFAULT_EPSILON = 0.05
@@ -70,7 +62,9 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    sample_index: int
+    """One run of a sweep; the fields are its CSV columns and JSON keys."""
+
+    sample: int
     cp: float
     criterion: str
     n_updates: int
@@ -80,6 +74,10 @@ class SweepRow:
     ops_mul: int
     ops_add: int
     scheme: str
+
+
+CSV_HEADER = [f.name for f in fields(SweepRow)]
+_CELL_TYPES = typing.get_type_hints(SweepRow)  # column -> int, float or str
 
 
 def sample_cps(config: SweepConfig) -> list[float]:
@@ -100,7 +98,7 @@ def _run_sample(e: Expression, config: SweepConfig, k: int, cp: float, scorer) -
     )
     result = search(e, params, scorer=scorer)
     return SweepRow(
-        sample_index=k,
+        sample=k,
         cp=cp,
         criterion=config.schedule.criterion,
         n_updates=config.n_updates,
@@ -239,32 +237,18 @@ def _run_in_workers(e, config, tasks, workers: int, cache: dict) -> list[SweepRo
             conn.close()
         for proc in procs:
             proc.join()
-    return sorted(rows, key=lambda r: r.sample_index)
+    return sorted(rows, key=lambda r: r.sample)
 
 
 # ---------------------------------------------------------------------------
-# CSV (stable schema: header above, '\n' line endings, dot decimals)
+# CSV (stable schema: SweepRow's fields, '\n' line endings, floats by repr)
 # ---------------------------------------------------------------------------
 
 
 def write_csv(rows, fh) -> None:
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(CSV_HEADER)
-    for r in rows:
-        w.writerow(
-            [
-                r.sample_index,
-                repr(r.cp),
-                r.criterion,
-                r.n_updates,
-                r.direction,
-                r.seed,
-                r.ops_total,
-                r.ops_mul,
-                r.ops_add,
-                r.scheme,
-            ]
-        )
+    w.writerows(map(astuple, rows))
 
 
 def read_csv(fh) -> list[SweepRow]:
@@ -278,23 +262,13 @@ def read_csv(fh) -> list[SweepRow]:
         where = f"sweep CSV line {reader.line_num}"
         if len(rec) != len(CSV_HEADER):
             raise ValueError(f"{where}: {len(rec)} fields, expected {len(CSV_HEADER)}")
+        cells = dict(zip(CSV_HEADER, rec))
         try:
-            row = SweepRow(
-                sample_index=int(rec[0]),
-                cp=float(rec[1]),
-                criterion=rec[2],
-                n_updates=int(rec[3]),
-                direction=rec[4],
-                seed=int(rec[5]),
-                ops_total=int(rec[6]),
-                ops_mul=int(rec[7]),
-                ops_add=int(rec[8]),
-                scheme=rec[9],
-            )
+            row = SweepRow(**{k: _CELL_TYPES[k](v) for k, v in cells.items()})
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         if not (math.isfinite(row.cp) and row.cp > 0):
-            raise ValueError(f"{where}: cp must be positive and finite, got {rec[1]}")
+            raise ValueError(f"{where}: cp must be positive and finite, got {cells['cp']}")
         rows.append(row)
     return rows
 

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import opmin
+import opmin.cli
 from opmin.cli import main
 from opmin.cse import Dag, _Rewriter
-from opmin.sweep import SweepRow, read_csv
+from opmin.sweep import CSV_HEADER, SweepRow, analyze_rows, read_csv
 
 from test_expr import WORKED
 
@@ -206,7 +207,7 @@ class TestJsonSchemas:
         doc = json.loads(out)
         for row in doc:
             assert list(row) == [
-                "sample_index",
+                "sample",
                 "cp",
                 "criterion",
                 "n_updates",
@@ -257,6 +258,31 @@ def test_sweep_csv_does_not_depend_on_jobs(tmp_path, worked):
         csv.append(path.read_bytes())
     assert csv[0] == csv[1]
     assert csv[0].count(b"\n") == 7  # header and one row per sample
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "preset", "--name", "hep-like-15"],
+        ["sweep", "{worked}", "--samples", "3", "--n-updates", "5"],
+    ],
+    ids=["generate", "sweep"],
+)
+def test_out_dash_is_stdout(capsys, tmp_path, worked, argv):
+    argv = [a.format(worked=worked) for a in argv]
+    code, out, _ = run(capsys, *argv, "--out", "-")
+    assert code == 0
+    path = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_help_lists_the_sweep_columns_and_analyze_keys():
+    doc = " ".join(opmin.cli.__doc__.split())
+    assert ", ".join(CSV_HEADER) in doc
+    report = analyze_rows([SweepRow(0, 1.0, "uct", 5, "forward", 0, 3, 2, 1, "x")])
+    assert ", ".join(report) in doc
 
 
 def test_closed_stdout_exits_quietly(worked):

@@ -1,4 +1,6 @@
+import csv
 import io
+import json
 import math
 import multiprocessing.process
 import os
@@ -51,7 +53,7 @@ def small_config(**kw):
 def synthetic_rows(cps, totals):
     return [
         SweepRow(
-            sample_index=i,
+            sample=i,
             cp=cp,
             criterion="sa-uct",
             n_updates=10,
@@ -77,7 +79,7 @@ class TestRunSweep:
         e = parse(WORKED)
         rows = run_sweep(e, small_config(samples=1))
         assert len(rows) == 1
-        assert rows[0].sample_index == 0
+        assert rows[0].sample == 0
         assert rows[0].ops_total == rows[0].ops_mul + rows[0].ops_add
 
     def test_deterministic_and_byte_identical(self):
@@ -307,6 +309,23 @@ class TestCsv:
         back = read_csv(io.StringIO(csv_bytes(rows)))
         assert back == rows
 
+    def test_write_csv_bytes_are_pinned(self):
+        rows = [
+            SweepRow(0, 0.1 + 0.2, "sa-uct", 20, "forward", 7, 12, 8, 4, "x,y"),
+            SweepRow(1, 1e-05, "uct", 20, "backward", 8, 9, 5, 4, "y"),
+            SweepRow(2, 1e16, "uct", 20, "forward", 9, 10, 6, 4, "x"),
+            SweepRow(3, 10.0, "sa-uct", 20, "forward", 10, 11, 7, 4, "y,x"),
+        ]
+        text = csv_bytes(rows)
+        assert text == (
+            "sample,cp,criterion,n_updates,direction,seed,ops_total,ops_mul,ops_add,scheme\n"
+            '0,0.30000000000000004,sa-uct,20,forward,7,12,8,4,"x,y"\n'
+            "1,1e-05,uct,20,backward,8,9,5,4,y\n"
+            "2,1e+16,uct,20,forward,9,10,6,4,x\n"
+            '3,10.0,sa-uct,20,forward,10,11,7,4,"y,x"\n'
+        )
+        assert read_csv(io.StringIO(text)) == rows
+
     def test_dot_decimal_separator(self):
         rows = synthetic_rows([0.25], [10])
         assert "0.25" in csv_bytes(rows)
@@ -445,7 +464,7 @@ epsilon,0.05
 bins,50
 bin_log_width,0.13815510557964272
 roi_log_width,0.6907755278982136
-roi_cp_interval,[0.4168693834703354, 0.8317637711026709]
+roi_cp_interval,"[0.4168693834703354, 0.8317637711026709]"
 """
 
 
@@ -455,3 +474,26 @@ def test_analyze_output_is_pinned(tmp_path, capsys, fmt, want):
     path.write_text(fixed_sweep_csv())
     assert main(["analyze", str(path), "--format", fmt]) == 0
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize(
+    "text, null_interval",
+    [
+        (fixed_sweep_csv(), False),
+        (",".join(CSV_HEADER) + '\n0,0.5,sa-uct,25,forward,0,48,39,9,"x,y"\n', True),
+    ],
+    ids=["interval", "one-sample"],
+)
+def test_analyze_csv_cells_are_the_json_values(tmp_path, capsys, text, null_interval):
+    path = tmp_path / "sweep.csv"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(["analyze", str(path), "--format", "csv"]) == 0
+    header, *recs = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["key", "value"]
+    assert all(len(rec) == 2 for rec in recs)
+    assert [key for key, _ in recs] == list(report)
+    for key, cell in recs:
+        assert json.loads(cell) == report[key]
+    assert (report["roi_cp_interval"] is None) == null_interval
