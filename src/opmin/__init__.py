@@ -38,12 +38,11 @@ from .cse import (
     simplify,
 )
 from .mcts import (
-    Schedule,
+    Criterion,
     SearchParams,
     SearchResult,
     brute_force_search,
     search,
-    temperature,
 )
 from .benchgen import PRESETS, RandomExprParams, preset_expr, random_expr, resultant_expr
 from .sweep import SweepConfig, SweepRow, analyze_rows, run_sweep
@@ -74,12 +73,11 @@ __all__ = [
     "dag_op_count",
     "eval_dag_mod_p",
     "simplify",
-    "Schedule",
+    "Criterion",
     "SearchParams",
     "SearchResult",
     "brute_force_search",
     "search",
-    "temperature",
     "DeltaScorer",
     "PRESETS",
     "RandomExprParams",

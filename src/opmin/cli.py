@@ -2,18 +2,17 @@
 
 Subcommands: simplify, search, sweep, bruteforce, generate, analyze.
 Exit codes: 0 success; 1 malformed command line; 2 bad input or argument
-value (unreadable or unparsable file, unknown scheme atom or schedule, a
+value (unreadable or unparsable file, unknown scheme atom, a
 number out of range such as --n-updates 0 or --jobs 0, a malformed sweep
 CSV); 3 the self-check failed: the DAG that simplify reports, or the DAG
 of the best scheme of search or bruteforce, does not evaluate like the
 input at 3 seeded points modulo 2^61-1, and nothing is printed to
 standard output; 141, silently, when standard output is closed early
 (``| head``).
-``--criterion uct`` means SA-UCT with the constant schedule.
 search, and bruteforce with --format json, print one JSON result record:
 best_total, best_mul, best_add, scheme (the order as "a,b"), direction
-("forward" or "backward"), then criterion, cp, n_updates, repeats, seed
-(search) or schemes_evaluated (bruteforce).
+("forward" or "backward"), then criterion ("uct" or "sa-uct"), cp,
+n_updates, repeats, seed (search) or schemes_evaluated (bruteforce).
 sweep writes one CSV row per run, in sample order, with the columns
 sample, cp, criterion, n_updates, direction, seed, ops_total, ops_mul,
 ops_add, scheme; with --format json it writes a list of rows whose keys
@@ -46,7 +45,7 @@ from .horner import (
     scheme_from_string,
     scheme_to_string,
 )
-from .mcts import Schedule, SearchParams, brute_force_search, search
+from .mcts import Criterion, SearchParams, brute_force_search, search
 from .sweep import (
     DEFAULT_EPSILON,
     SweepConfig,
@@ -88,15 +87,14 @@ def _self_check(e, dag) -> None:
 
 def _add_search_flags(p):
     p.add_argument("--n-updates", type=int, default=1000, help="tree updates per run")
-    p.add_argument("--criterion", choices=["uct", "sa-uct"], default="sa-uct")
-    p.add_argument("--schedule", default="linear", help="linear, const, or exp:<halflife>")
+    p.add_argument(
+        "--criterion",
+        choices=[c.value for c in Criterion],
+        default=Criterion.SA_UCT.value,
+        help="uct keeps C_p at every iteration; sa-uct uses C_p*(N-i)/N at iteration i of N",
+    )
     p.add_argument("--direction", choices=["forward", "backward"], default="forward")
     p.add_argument("--seed", type=int, default=0)
-
-
-def _schedule(args) -> Schedule:
-    schedule = Schedule.from_string(args.schedule)
-    return Schedule.constant() if args.criterion == "uct" else schedule
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,7 +233,7 @@ def cmd_search(args) -> int:
         cp=args.cp,
         n_updates=args.n_updates,
         repeats=args.repeats,
-        schedule=_schedule(args),
+        criterion=Criterion(args.criterion),
         direction=Direction(args.direction),
         seed=args.seed,
     )
@@ -245,7 +243,7 @@ def cmd_search(args) -> int:
         _result_json(
             result,
             e.atoms,
-            criterion=params.schedule.criterion,
+            criterion=params.criterion.value,
             cp=params.cp,
             n_updates=params.n_updates,
             repeats=params.repeats,
@@ -263,7 +261,7 @@ def cmd_sweep(args) -> int:
         samples=args.samples,
         n_updates=args.n_updates,
         direction=Direction(args.direction),
-        schedule=_schedule(args),
+        criterion=Criterion(args.criterion),
         base_seed=args.seed,
     )
     rows = run_sweep(e, config, jobs=args.jobs)

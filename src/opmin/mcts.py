@@ -3,10 +3,10 @@
 Each tree node fixes one more variable of the scheme; a playout completes
 the partial order with a uniformly random permutation of the unused
 variables and scores the full scheme by the total operation count after
-Horner and elimination. Selection uses the UCT rule with an exploration
-temperature that follows a schedule (SA-UCT): with a decaying schedule early
-iterations explore broadly and late ones deepen the best branch; with the
-constant schedule SA-UCT is plain UCT.
+Horner and elimination. Selection follows one of two criteria. UCT keeps
+the exploration constant C_p at every iteration. SA-UCT lowers it linearly
+with the iteration i, to C_p*(N-i)/N over N tree updates, so early
+iterations explore broadly and late ones deepen the best branch.
 
 The best score ever seen is tracked over complete playout paths, which may
 extend beyond the stored tree. ``search`` makes ``params.repeats``
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from itertools import permutations
 
 import numpy as np
@@ -29,46 +30,11 @@ from .expr import Expression, OpCount, naive_op_count, variables
 from .horner import Direction, Scheme
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Temperature schedule: linear decay, exponential halving, or constant."""
+class Criterion(Enum):
+    """Selection criterion: fixed C_p (UCT) or linearly decaying C_p (SA-UCT)."""
 
-    kind: str
-    half_life: float | None = None
-
-    LINEAR = "linear"
-    EXPONENTIAL = "exp"
-    CONSTANT = "const"
-
-    @classmethod
-    def linear(cls) -> "Schedule":
-        return cls(cls.LINEAR)
-
-    @classmethod
-    def exponential(cls, half_life: float) -> "Schedule":
-        if not (math.isfinite(half_life) and half_life > 0):
-            raise ValueError("half-life must be positive and finite")
-        return cls(cls.EXPONENTIAL, half_life)
-
-    @classmethod
-    def constant(cls) -> "Schedule":
-        return cls(cls.CONSTANT)
-
-    @classmethod
-    def from_string(cls, text: str) -> "Schedule":
-        """Parse "linear", "const", or "exp:<halflife>"."""
-        if text == cls.LINEAR:
-            return cls.linear()
-        if text == cls.CONSTANT:
-            return cls.constant()
-        if text.startswith("exp:"):
-            return cls.exponential(float(text[4:]))
-        raise ValueError(f"unknown schedule {text!r}")
-
-    @property
-    def criterion(self) -> str:
-        """Output label: "uct" for the constant schedule, else "sa-uct"."""
-        return "uct" if self.kind == self.CONSTANT else "sa-uct"
+    UCT = "uct"
+    SA_UCT = "sa-uct"
 
 
 @dataclass(frozen=True)
@@ -76,7 +42,7 @@ class SearchParams:
     cp: float
     n_updates: int
     repeats: int = 1
-    schedule: Schedule = Schedule.linear()
+    criterion: Criterion = Criterion.SA_UCT
     direction: Direction = Direction.FORWARD
     seed: int = 0
 
@@ -87,6 +53,9 @@ class SearchParams:
             raise ValueError("n_updates must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if not isinstance(self.criterion, Criterion):
+            # temperature() tests identity, so "uct" would silently run SA-UCT.
+            raise TypeError(f"criterion must be a Criterion, got {self.criterion!r}")
 
 
 class Node:
@@ -123,18 +92,14 @@ class SearchResult:
 
 
 def temperature(i: int, params: SearchParams) -> float:
-    """Exploration temperature at iteration i per the configured schedule.
+    """Exploration temperature at iteration i under the selection criterion.
 
-    Linear: cp*(N-i)/N, so T(0)=cp and T(N)=0. Exponential: cp*2^(-i/h).
-    Constant: cp, which makes SA-UCT coincide with plain UCT.
+    UCT: cp at every iteration. SA-UCT: cp*(N-i)/N, so T(0)=cp and T(N)=0.
     """
-    sched = params.schedule
-    if sched.kind == Schedule.LINEAR:
-        n = params.n_updates
-        return params.cp * (n - i) / n
-    if sched.kind == Schedule.EXPONENTIAL:
-        return params.cp * 2.0 ** (-i / sched.half_life)
-    return params.cp
+    if params.criterion is Criterion.UCT:
+        return params.cp
+    n = params.n_updates
+    return params.cp * (n - i) / n
 
 
 def node_score(c: Node, naive_total: int) -> float:

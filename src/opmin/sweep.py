@@ -35,7 +35,7 @@ import numpy as np
 from .expr import Expression
 from .horner import Direction, order_to_string
 from .cse import DeltaScorer
-from .mcts import Schedule, SearchParams, search
+from .mcts import Criterion, SearchParams, search
 
 ROI_BINS = 50
 DEFAULT_EPSILON = 0.05
@@ -48,7 +48,7 @@ class SweepConfig:
     samples: int
     n_updates: int
     direction: Direction = Direction.FORWARD
-    schedule: Schedule = Schedule.linear()
+    criterion: Criterion = Criterion.SA_UCT
     base_seed: int = 0
 
     def __post_init__(self):
@@ -92,7 +92,7 @@ def _run_sample(e: Expression, config: SweepConfig, k: int, cp: float, scorer) -
         cp=cp,
         n_updates=config.n_updates,
         repeats=1,  # each dot is a single MCTS run
-        schedule=config.schedule,
+        criterion=config.criterion,
         direction=config.direction,
         seed=config.base_seed + k,
     )
@@ -100,7 +100,7 @@ def _run_sample(e: Expression, config: SweepConfig, k: int, cp: float, scorer) -
     return SweepRow(
         sample=k,
         cp=cp,
-        criterion=config.schedule.criterion,
+        criterion=config.criterion.value,
         n_updates=config.n_updates,
         direction=config.direction.value,
         seed=params.seed,
@@ -164,7 +164,7 @@ def _worker(conn, parent_end, e: Expression, config: SweepConfig) -> None:
             new = list(islice(reversed(cache.items()), len(cache) - known))
             new.reverse()
             conn.send((True, (row, new)))
-    except (EOFError, BrokenPipeError):
+    except (EOFError, OSError):
         return  # the parent has exited
 
 

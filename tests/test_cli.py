@@ -9,6 +9,7 @@ import pytest
 
 import opmin
 import opmin.cli
+from opmin import mcts
 from opmin.cli import main
 from opmin.cse import Dag, _Rewriter
 from opmin.sweep import CSV_HEADER, SweepRow, analyze_rows, read_csv
@@ -43,18 +44,18 @@ class TestExitCodes:
         assert out.startswith("naive:")
 
     def test_malformed_command_line_exits_1(self, capsys, worked):
-        with pytest.raises(SystemExit) as exc:
-            main(["search", worked, "--no-such-flag"])
-        assert exc.value.code == 1
-        assert "unrecognized arguments" in capsys.readouterr().err
+        for extra in (["--no-such-flag"], ["--schedule", "const"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["search", worked, *extra])
+            assert exc.value.code == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra, message",
         [
             (["--n-updates", "0"], "n_updates must be >= 1"),
-            (["--schedule", "bogus"], "unknown schedule 'bogus'"),
+            (["--repeats", "0"], "repeats must be >= 1"),
             (["--cp", "nan", "--n-updates", "5"], "cp must be nonnegative and finite"),
-            (["--schedule", "exp:nan", "--n-updates", "60"], "half-life must be positive and finite"),
         ],
     )
     def test_bad_value_exits_2(self, capsys, worked, extra, message):
@@ -234,11 +235,11 @@ class TestCriterionLabel:
     def test_default_is_sa_uct(self, capsys, worked):
         assert self.search_json(capsys, worked)["criterion"] == "sa-uct"
 
-    def test_uct_is_the_constant_schedule(self, capsys, worked):
-        uct = self.search_json(capsys, worked, "--criterion", "uct", "--schedule", "linear")
-        const = self.search_json(capsys, worked, "--schedule", "const")
-        assert uct == const
-        assert uct["criterion"] == "uct"
+    def test_uct_is_the_constant_schedule(self, capsys, worked, monkeypatch):
+        uct = self.search_json(capsys, worked, "--criterion", "uct")
+        monkeypatch.setattr(mcts, "temperature", lambda i, p: p.cp)
+        const = self.search_json(capsys, worked)
+        assert uct == {**const, "criterion": "uct"}
 
     def test_sweep_rows_carry_the_label(self, capsys, worked):
         argv = ["sweep", worked, "--samples", "3", "--n-updates", "5"]

@@ -9,8 +9,8 @@ from opmin.horner import Direction, Scheme
 from opmin import mcts
 from opmin.cse import DeltaScorer, simplify
 from opmin.mcts import (
+    Criterion,
     Node,
-    Schedule,
     SearchParams,
     SearchResult,
     SearchState,
@@ -56,29 +56,19 @@ class TestTemperature:
     def test_linear_quarter_point(self):
         assert temperature(250, params(cp=1.0, n_updates=1000)) == 0.75
 
-    def test_exponential_halves(self):
-        p = params(cp=1.0, n_updates=100, schedule=Schedule.exponential(10.0))
-        assert temperature(10, p) == pytest.approx(0.5)
-        assert temperature(20, p) == pytest.approx(0.25)
-
     def test_constant(self):
-        p = params(cp=0.3, schedule=Schedule.constant())
+        p = params(cp=0.3, criterion=Criterion.UCT)
         assert all(temperature(i, p) == 0.3 for i in range(0, 100, 7))
 
+    def test_criterion_text_is_rejected(self):
+        with pytest.raises(TypeError, match="criterion must be a Criterion"):
+            params(criterion="uct")
+
     def test_nonincreasing(self):
-        for sched in (Schedule.linear(), Schedule.exponential(5.0), Schedule.constant()):
-            p = params(cp=2.0, n_updates=200, schedule=sched)
+        for criterion in Criterion:
+            p = params(cp=2.0, n_updates=200, criterion=criterion)
             temps = [temperature(i, p) for i in range(201)]
             assert all(a >= b for a, b in zip(temps, temps[1:]))
-
-    def test_schedule_parsing(self):
-        assert Schedule.from_string("linear") == Schedule.linear()
-        assert Schedule.from_string("const") == Schedule.constant()
-        assert Schedule.from_string("exp:2.5") == Schedule.exponential(2.5)
-        with pytest.raises(ValueError):
-            Schedule.from_string("cosine")
-        with pytest.raises(ValueError):
-            Schedule.exponential(0.0)
 
 
 def make_node(visits, delta_sum, atom=0):
@@ -214,8 +204,8 @@ class TestSearch:
         e = parse(WORKED)
         oracle = brute_force_oracle(e)
         assert oracle == 6
-        for schedule in (Schedule.constant(), Schedule.linear()):  # UCT, SA-UCT
-            res = search(e, params(n_updates=40, schedule=schedule, seed=3))
+        for criterion in Criterion:
+            res = search(e, params(n_updates=40, criterion=criterion, seed=3))
             assert res.best_delta.total == 6
 
     def test_single_update_equals_single_playout(self):
@@ -224,24 +214,27 @@ class TestSearch:
         assert res.iterations_run == 1
         assert res.deltas_per_iteration == [res.best_delta.total]
 
-    def test_constant_schedule_reproduces_uct_trace(self, monkeypatch):
+    def assert_trace_follows(self, monkeypatch, criterion, rule):
+        """Runs under *criterion* equal runs with ``temperature`` replaced by *rule*."""
         e = five_var_expr()
         for seed in range(50):
             with monkeypatch.context() as m:
-                # Plain UCT: the exploration constant at every iteration.
-                m.setattr(mcts, "temperature", lambda i, p: p.cp)
-                uct = search(e, params(n_updates=60, seed=seed))
-            sa = search(
-                e,
-                params(
-                    n_updates=60,
-                    schedule=Schedule.constant(),
-                    seed=seed,
-                ),
-            )
-            assert uct.deltas_per_iteration == sa.deltas_per_iteration
-            assert uct.best_delta == sa.best_delta
-            assert uct.best_scheme == sa.best_scheme
+                m.setattr(mcts, "temperature", rule)
+                want = search(e, params(n_updates=60, seed=seed))
+            got = search(e, params(n_updates=60, criterion=criterion, seed=seed))
+            assert got.deltas_per_iteration == want.deltas_per_iteration
+            assert got.best_delta == want.best_delta
+            assert got.best_scheme == want.best_scheme
+
+    def test_constant_schedule_reproduces_uct_trace(self, monkeypatch):
+        # Plain UCT: the exploration constant at every iteration.
+        self.assert_trace_follows(monkeypatch, Criterion.UCT, lambda i, p: p.cp)
+
+    def test_sa_uct_reproduces_linear_decay_trace(self, monkeypatch):
+        def linear(i, p):
+            return p.cp * (p.n_updates - i) / p.n_updates
+
+        self.assert_trace_follows(monkeypatch, Criterion.SA_UCT, linear)
 
     def test_running_best_is_min_of_trace(self):
         e = five_var_expr(seed=9)

@@ -18,7 +18,7 @@ import opmin
 from opmin.cse import DeltaScorer
 from opmin.expr import parse, variables
 from opmin.horner import Direction
-from opmin.mcts import Schedule, SearchParams, brute_force_search, search
+from opmin.mcts import Criterion, SearchParams, brute_force_search, search
 from opmin.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -43,7 +43,7 @@ def small_config(**kw):
         samples=12,
         n_updates=25,
         direction=Direction.FORWARD,
-        schedule=Schedule.linear(),
+        criterion=Criterion.SA_UCT,
         base_seed=7,
     )
     defaults.update(kw)
@@ -228,7 +228,7 @@ class TestSharedCache:
         assert out == "ZeroDivisionError sample 3\n"
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
-    def test_workers_exit_when_the_parent_is_killed(self):
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
         code = f"""
 import multiprocessing, os, time
 multiprocessing.set_start_method("fork")
@@ -237,16 +237,18 @@ from opmin.expr import parse
 run = sweep._run_sample
 def announce(e, config, k, cp, scorer):
     if k < 2:
-        print(os.getpid(), flush=True)
+        os.write(1, f"{{os.getpid()}}\\n".encode())
         time.sleep(0.5)
     return run(e, config, k, cp, scorer)
 sweep._run_sample = announce
 config = sweep.SweepConfig(cp_min=0.01, cp_max=10.0, samples=10000, n_updates=10)
 sweep.run_sweep(parse({WORKED!r}), config, jobs=2)
 """
-        proc = subprocess.Popen(
-            [sys.executable, "-c", code], stdout=subprocess.PIPE, bufsize=0, env=script_env()
-        )
+        stderr = tmp_path / "stderr.txt"
+        with open(stderr, "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=err, bufsize=0, env=script_env()
+            )
         pids = []
         try:
             for _ in range(2):
@@ -271,6 +273,7 @@ sweep.run_sweep(parse({WORKED!r}), config, jobs=2)
         for pid in left:
             os.kill(pid, signal.SIGKILL)
         assert left == []
+        assert "Traceback" not in stderr.read_text()
 
     def test_spawn_start_method_gives_sequential_rows(self):
         code = f"""
@@ -468,7 +471,7 @@ roi_cp_interval,"[0.4168693834703354, 0.8317637711026709]"
 """
 
 
-@pytest.mark.parametrize("fmt, want", [("json", ANALYZE_JSON), ("csv", ANALYZE_CSV)])
+@pytest.mark.parametrize("fmt, want", [("json", ANALYZE_JSON), ("csv", ANALYZE_CSV)], ids=["json", "csv"])
 def test_analyze_output_is_pinned(tmp_path, capsys, fmt, want):
     path = tmp_path / "sweep.csv"
     path.write_text(fixed_sweep_csv())
