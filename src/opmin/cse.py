@@ -7,16 +7,20 @@ extracts the child pair that occurs under the most same-operator nodes,
 materializing it as a shared node; this exposes partial overlaps between
 wide sums/products that hash-consing alone cannot see.
 
-The rewriter keeps the pair counts incremental. Pairs are packed into int
-keys, and a min-heap holds one int rank per repeated pair, pushed when the
-pair is created; a pair's count only falls after that, so a stale top is
-re-ranked in place or dropped. Pairs held by a single node get no node
-set, since they can never repeat. Extracting a pair (a, b) replaces a and
-b by the pair's node p in every node that holds both; such a node changes
-only its pairs with a, b and p, so rewriting a k-ary node costs O(k), not
-O(k^2). On a Horner arena no rewrite can make two nodes identical, so
-there is nothing to merge; ``_Rewriter`` states the precondition and the
-proof, and raises ValueError on a DAG outside it.
+The rewriter keeps, per operator, the parent set of every child that sits
+in a repeated pair: all nodes of that operator that hold the child. A
+pair's holders are the intersection of its two children's parent sets.
+Pairs are packed into int keys, and a min-heap holds one int rank per
+repeated pair, pushed when the pair is created; a pair's count only falls
+after that, so a stale top is re-ranked in place or dropped. The initial
+pairs are counted in one C-level pass, and only the children of pairs
+counted twice or more get parent sets. Extracting a pair (a, b) replaces
+a and b by the pair's node p in every node that holds both; that changes
+only the parent sets of a, b and p, so rewriting a k-ary node costs O(k)
+for its new child list and nothing per pair. On a Horner arena no rewrite
+can make two nodes identical, so there is nothing to merge; ``_Rewriter``
+states the precondition and the proof, and raises ValueError on a DAG
+outside it.
 
 Production path: ``DeltaScorer.build`` interns the Horner form straight
 into a rewriter arena, then ``run`` and a count; ``simplify`` also returns
@@ -35,8 +39,12 @@ node for node on random inputs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
+from itertools import chain, combinations, repeat, starmap
+from operator import ge
+
 from .expr import AtomTable, Expression, OpCount, variables
 from .horner import Const, Power, Scheme, Sum, Var, check_scheme, effective_order
 
@@ -126,24 +134,30 @@ class _Rewriter:
 
     A pair (kind, a, b) with a < b is packed into one int key,
     ``(a << 32 | b) << 1 | kind``, which sorts like the tuple (a, b, kind);
-    node ids must stay below 2**32. ``pair_nodes[key]`` holds the add/mul
-    nodes whose child list contains the pair, for every pair that two or
-    more nodes held when it was created. A pair held by one node then gets
-    no set: by property 5 below it can never repeat. ``heap`` is a min-heap
-    of int ranks ``key - (count << 65)``, which sort like the tuple
-    ``(-count, a, b, kind)``: most frequent first, ties to the smallest ids,
-    add first. Each stored key has one rank, pushed when its set is made.
-    By property 5 its count can only be too high, so ``best_pair`` re-ranks
-    a stale top in place with the set's current size while that is two or
-    more, drops it otherwise, and returns the first top that is current:
-    the minimum rank over all repeated pairs. ``index`` maps each node's
-    structural key to its id.
+    node ids must stay below 2**32. ``parents[kind][c]`` is the set of
+    add/mul nodes of that kind whose child list contains c. It exists for
+    both children of every pair that two or more nodes held when the pair
+    was created, and it is complete: it holds every node of that kind that
+    has the child, not only those that hold the pair. So the nodes that
+    hold (kind, a, b) are ``parents[kind][a] & parents[kind][b]``, and the
+    pair's count is that intersection's size. A pair held by one node gives
+    its children no sets: by property 5 below it can never repeat. ``heap``
+    is a min-heap of int ranks ``key - (count << 65)``, which sort like the
+    tuple ``(-count, a, b, kind)``: most frequent first, ties to the
+    smallest ids, add first. Each repeated key has one rank, pushed when
+    the pair is created. By property 5 its count can only be too high, so
+    ``best_pair`` re-ranks a stale top in place with the current count
+    while that is two or more, drops it otherwise, and returns the first
+    top that is current: the minimum rank over all repeated pairs.
+    ``index`` maps each node's structural key to its id.
 
     Extracting (kind, a, b) is one rewrite: every node that holds both a
     and b gets the node p = (kind, [a, b]) in their place. p is appended
     unless it exists, so ids stay stable and tie-breaking by id is well
-    defined across iterations. A rewritten node n changes only its pairs
-    with a, b and p, so the rewrite costs O(k) for a k-ary n.
+    defined across iterations. A rewritten node n changes only its
+    children a, b and p, so the rewrite costs O(k) for a k-ary n, and only
+    three parent sets change: a's and b's lose the targets and gain p, and
+    p's is the targets.
 
     Precondition: every add/mul child list is strictly increasing, so no
     node repeats a child, and no add/mul node has a child of its own kind.
@@ -157,25 +171,37 @@ class _Rewriter:
     1. A target never already holds p, so no child is ever repeated and
        pairs (a, a) never occur.
     2. No other node holds p either, so a rewritten node never becomes a
-       copy of another node, and no two nodes ever need merging.
+       copy of another node, no two nodes ever need merging, and the
+       targets are all of p's same-kind parents.
     3. No key is extracted twice: some node would first have to regain a
        or b, which needs an earlier key to be extracted twice; induct on
        the first such event.
     4. A target never collapses to one child: its child list would have
        to be [a, b], and then it is p.
-    5. A pair's node set only shrinks after the step that creates it,
-       ``__init__`` or an extraction. A node gains pairs only as (c, p)
-       while p's key is extracted, and by 2 no other node holds p then,
-       so each such pair is new. A later gain would need a later
-       extraction whose p is c or p, which the nodes holding the pair
-       already hold, against 1 and 2.
+    5. The set of nodes that hold a pair only shrinks after the step that
+       creates the pair, ``__init__`` or an extraction. A node gains pairs
+       only as (c, p) while p's key is extracted, and by 2 no other node
+       holds p then, so each such pair is new. A later gain would need a
+       later extraction whose p is c or p, which the nodes holding the
+       pair already hold, against 1 and 2.
+
+    Every parent set stays complete. ``__init__`` fills each one from all
+    nodes of its kind. A rewrite changes no child of any node but a, b and
+    p, whose sets ``extract`` updates, and by 2 p's set is exactly the
+    targets. An extraction pushes (c, p) only when two or more targets
+    hold c; c then sits beside a in those targets, so by 5 the pair
+    (a, c) was held by two or more nodes when it was created. c has had a
+    set since that step: ``__init__`` made it, or that step's p was c, or
+    c had one then by this same argument. So every pair the heap ranks
+    has both sets.
 
     ``__init__`` raises ValueError on a child list that is not strictly
     increasing. ``extract`` raises on a target that already holds p, on a
     rewrite that would make a copy of another node, and on a p that is
     already the child of a node of its own kind (``inner``), the one case
-    in which a pair (c, p) could predate the extraction. So a ``Dag``
-    outside the precondition fails loudly instead of miscounting.
+    in which a pair (c, p) could predate the extraction and p's parent set
+    could miss a node. So a ``Dag`` outside the precondition fails loudly
+    instead of miscounting.
     """
 
     def __init__(self, kinds: list, args: list, roots: list, index: dict):
@@ -185,31 +211,39 @@ class _Rewriter:
         self.roots = roots
         self.index = index
         self.inner: set[int] = set()  # add/mul nodes that have had a parent of their kind
-        self.pair_nodes: dict[int, set[int]] = {}
-        pair_nodes = self.pair_nodes
-        first: dict[int, int] = {}  # pair key -> the first node that holds it
+        self.parents: tuple[dict[int, set[int]], dict[int, set[int]]] = ({}, {})
+        self.heap: list[int] = []
+        nodes = ([], []), ([], [])  # per kind: ids and child tuples
         for i, (k, ch) in enumerate(zip(kinds, args)):
-            if k not in _AC:
+            if k in _AC:
+                ids, chs = nodes[k]
+                ids.append(i)
+                chs.append(ch)
+        for k, (ids, chs) in zip(_AC, nodes):
+            counts = Counter(chain.from_iterable(map(combinations, chs, repeat(2))))
+            if any(starmap(ge, counts)):
+                self._raise_not_increasing()
+            repeated = [(x, y, n) for (x, y), n in counts.items() if n >= 2]
+            if not repeated:
                 continue
-            n = len(ch)
-            for x in range(n - 1):
-                cx = ch[x]
-                if cx >= ch[x + 1]:
-                    raise ValueError(
-                        f"node {i}: {_KIND_NAMES[k]} children {list(ch)} are not strictly increasing"
-                    )
-                hi = cx << 33 | k
-                for y in range(x + 1, n):
-                    key = hi | ch[y] << 1
-                    j = first.setdefault(key, i)
-                    if j != i:
-                        s = pair_nodes.get(key)
-                        if s is None:
-                            pair_nodes[key] = {j, i}
-                        else:
-                            s.add(i)
-        self.heap = [key - (len(s) << _COUNT_SHIFT) for key, s in pair_nodes.items()]
+            self.heap += [(x << 33 | y << 1 | k) - (n << _COUNT_SHIFT) for x, y, n in repeated]
+            par = self.parents[k]
+            for c in {c for x, y, _ in repeated for c in (x, y)}:
+                par[c] = set()
+            for i, ch in zip(ids, chs):
+                for c in ch:
+                    s = par.get(c)
+                    if s is not None:
+                        s.add(i)
         heapify(self.heap)
+
+    def _raise_not_increasing(self):
+        """Raise on the first add/mul node whose children are not strictly increasing."""
+        for i, (k, ch) in enumerate(zip(self.kinds, self.args)):
+            if k in _AC and any(map(ge, ch, ch[1:])):
+                raise ValueError(
+                    f"node {i}: {_KIND_NAMES[k]} children {list(ch)} are not strictly increasing"
+                )
 
     @classmethod
     def from_dag(cls, d: Dag) -> "_Rewriter":
@@ -234,13 +268,17 @@ class _Rewriter:
         Returns ``(kind, a, b)`` with a < b, or None when no pair repeats.
         """
         heap = self.heap
-        pair_nodes = self.pair_nodes
+        parents = self.parents
         while heap:
             rank = heap[0]
             key = rank & _KEY_MASK
-            n = len(pair_nodes[key])
+            kind = key & 1
+            a = key >> 33
+            b = (key >> 1) & _ID_MASK
+            par = parents[kind]
+            n = len(par[a] & par[b])
             if n == -(rank >> _COUNT_SHIFT):
-                return key & 1, key >> 33, (key >> 1) & _ID_MASK
+                return kind, a, b
             if n >= 2:
                 heapreplace(heap, key - (n << _COUNT_SHIFT))
             else:
@@ -260,12 +298,13 @@ class _Rewriter:
             self.kinds.append(kind)
             args.append(pch)
             index[pkey] = p
-        pair_nodes = self.pair_nodes
-        packed = a << 33 | b << 1 | kind
+        par = self.parents[kind]
+        pa = par[a]
+        pb = par[b]
+        targets = pa & pb
+        targets.discard(p)
         holders: dict[int, list[int]] = {}  # c -> the targets that will hold (c, p)
-        for n in pair_nodes[packed]:
-            if n == p:
-                continue
+        for n in targets:
             ch = args[n]
             rest = [c for c in ch if c != a and c != b]
             if p in rest:
@@ -276,10 +315,6 @@ class _Rewriter:
             if m is not None:
                 raise ValueError(f"extracting {key} turns node {n} into a copy of node {m}")
             for c in rest:
-                for x in (a, b):
-                    s = pair_nodes.get(c << 33 | x << 1 | kind if c < x else x << 33 | c << 1 | kind)
-                    if s is not None:
-                        s.discard(n)
                 ns = holders.get(c)
                 if ns is None:
                     holders[c] = [n]
@@ -291,13 +326,16 @@ class _Rewriter:
         if p in self.inner:
             raise ValueError(f"node {p}, the pair {key} being extracted, is a same-kind child")
         self.inner.add(p)
+        pa -= targets
+        pb -= targets
+        pa.add(p)
+        pb.add(p)
+        par[p] = targets
         heap = self.heap
         for c, ns in holders.items():
             if len(ns) >= 2:
                 new = c << 33 | p << 1 | kind if c < p else p << 33 | c << 1 | kind
-                pair_nodes[new] = set(ns)
                 heappush(heap, new - (len(ns) << _COUNT_SHIFT))
-        pair_nodes[packed] = {p}
 
     def run(self) -> None:
         while True:

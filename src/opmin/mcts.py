@@ -56,6 +56,9 @@ class SearchParams:
         if not isinstance(self.criterion, Criterion):
             # temperature() tests identity, so "uct" would silently run SA-UCT.
             raise TypeError(f"criterion must be a Criterion, got {self.criterion!r}")
+        if not isinstance(self.direction, Direction):
+            # run_iteration tests identity, so "backward" would run forward.
+            raise TypeError(f"direction must be a Direction, got {self.direction!r}")
 
 
 class Node:
@@ -220,6 +223,8 @@ def brute_force_search(
     scorer: DeltaScorer | None = None,
 ) -> SearchResult:
     """Exhaustive minimum over all full extraction orders (lex-first ties)."""
+    if not isinstance(direction, Direction):
+        raise TypeError(f"direction must be a Direction, got {direction!r}")
     vs = variables(e)
     if not vs:
         raise ValueError("expression has no variables to order")

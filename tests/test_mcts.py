@@ -64,6 +64,10 @@ class TestTemperature:
         with pytest.raises(TypeError, match="criterion must be a Criterion"):
             params(criterion="uct")
 
+    def test_direction_text_is_rejected(self):
+        with pytest.raises(TypeError, match="direction must be a Direction"):
+            params(direction="backward")
+
     def test_nonincreasing(self):
         for criterion in Criterion:
             p = params(cp=2.0, n_updates=200, criterion=criterion)
@@ -332,6 +336,10 @@ class TestBruteForce:
         e = random_expr(RandomExprParams(n_vars=9, n_terms=10, max_exponent=2, coeff_range=3, seed=1))
         with pytest.raises(ValueError, match="exceeds brute-force guard"):
             brute_force_search(e)
+
+    def test_direction_text_is_rejected(self):
+        with pytest.raises(TypeError, match="direction must be a Direction"):
+            brute_force_search(parse(WORKED), "backward")
 
     def test_never_worse_than_search(self):
         for seed in range(5):

@@ -1,12 +1,13 @@
 """The rewriter's incremental pair index against a from-scratch recount.
 
-``_Rewriter`` keeps ``pair_nodes`` and its rank heap up to date rewrite
-by rewrite. These tests run the elimination one extraction at a time and,
-after every step, rebuild the pair sets from the arena's child lists
-alone, with none of the rewriter's bookkeeping. Every repeated pair of
-that recount must be stored with the same node set, every stored set must
-match the recount, the heap must hold one rank per stored key that is
-never below the key's current count, and ``best_pair`` must be the
+``_Rewriter`` keeps per-child parent sets and its rank heap up to date
+rewrite by rewrite. These tests run the elimination one extraction at a
+time and, after every step, recount every pair and every child's parents
+from the arena's child lists alone, with none of the rewriter's
+bookkeeping. Every child of a repeated pair of that recount must have a
+stored parent set, every stored set must match the recount, the heap must
+hold one rank per key that is never below the key's current count and is
+present for every repeated pair, and ``best_pair`` must be the
 minimum-rank repeated pair. Unlike ``test_equivalence``, whose reference
 also runs ``_Rewriter``, this catches a bug in the index or the heap. The
 rewriter does not merge nodes, so a DAG on which an extraction would make
@@ -50,13 +51,21 @@ def fail_if_stuck():
 
 
 def recount(rw):
-    """Pair sets of the add/mul nodes, counted from scratch."""
+    """Pair sets and per-child parent sets of the add/mul nodes, from scratch.
+
+    Returns ``(pairs, parents)``: ``pairs[(kind, x, y)]`` holds the nodes
+    whose child list contains x and y, and ``parents[kind][c]`` the nodes
+    of that kind whose child list contains c.
+    """
     pairs: dict[tuple, set[int]] = {}
+    parents: tuple[dict, dict] = ({}, {})
     for i, (k, a) in enumerate(zip(rw.kinds, rw.args)):
         if k in (K_SUM, K_PROD):
             for x, y in set(combinations(sorted(a), 2)):
                 pairs.setdefault((k, x, y), set()).add(i)
-    return pairs
+            for c in a:
+                parents[k].setdefault(c, set()).add(i)
+    return pairs, parents
 
 
 def unpack(key: int) -> tuple[int, int, int]:
@@ -67,28 +76,27 @@ def unpack(key: int) -> tuple[int, int, int]:
 def checked_step(rw):
     """Compare the index with a recount; return ``best_pair()``.
 
-    A pair held by one node when it is created has no stored set, so the
-    index must hold every repeated pair of the recount, and whatever it
-    does hold must match the recount.
+    Only the children of repeated pairs get parent sets, so the index
+    must hold a set for every child of a repeated pair of the recount,
+    and every set it holds must match the recount.
     """
-    pairs = recount(rw)
-    stored = {unpack(key): s for key, s in rw.pair_nodes.items()}
-    for key, s in pairs.items():
-        if len(s) >= 2:
-            assert stored.get(key) == s, key
-    for key, s in stored.items():
-        assert s == pairs.get(key, set()), key
+    pairs, parents = recount(rw)
+    repeated = [key for key, s in pairs.items() if len(s) >= 2]
+    for k, a, b in repeated:
+        for c in (a, b):
+            assert c in rw.parents[k], (k, c)
+    for k in (K_SUM, K_PROD):
+        for c, s in rw.parents[k].items():
+            assert s == parents[k].get(c, set()), (k, c)
     # Heap ranks are ``key - (count << 65)``: one per key, never below the
     # key's current count, and present for every repeated pair.
-    ranked = [(rank & (2**65 - 1), -(rank >> 65)) for rank in rw.heap]
+    ranked = [(unpack(rank & (2**65 - 1)), -(rank >> 65)) for rank in rw.heap]
     counts = dict(ranked)
     assert len(counts) == len(ranked)
     for key, n in counts.items():
-        assert n >= len(rw.pair_nodes[key]), unpack(key)
-    for key, s in rw.pair_nodes.items():
-        if len(s) >= 2:
-            assert key in counts, unpack(key)
-    repeated = [key for key, s in pairs.items() if len(s) >= 2]
+        assert n >= len(pairs.get(key, ())), key
+    for key in repeated:
+        assert key in counts, key
     want = min(repeated, key=lambda key: (-len(pairs[key]), key[1], key[2], key[0]), default=None)
     best = rw.best_pair()
     assert best == want
@@ -122,6 +130,24 @@ def test_pinned_workloads(name):
     rng = np.random.default_rng(11)
     for order in (tuple(vs), tuple(int(a) for a in rng.permutation(vs))):
         assert eliminate_checked(DeltaScorer(e).build(order))
+
+
+def test_extraction_reuses_an_existing_pair_node():
+    # x+y (node 4) already exists and sits beside x+y+z (node 5) and
+    # x+y+w (node 6) under the product root. Extracting (x, y) must reuse
+    # node 4, append no node, and turn the two sums into 4+z and 4+w.
+    x, y, z, w = 0, 1, 2, 3
+    kinds = [K_VAR] * 4 + [K_SUM] * 3 + [K_PROD]
+    args = [(x,), (y,), (z,), (w,), (x, y), (x, y, z), (x, y, w), (4, 5, 6)]
+    rw = _Rewriter.from_dag(Dag(kinds, args, [7]))
+    assert rw.live_op_count() == (2, 5)
+    assert checked_step(rw) == (K_SUM, x, y)
+    rw.extract((K_SUM, x, y))
+    assert len(rw.kinds) == 8
+    assert rw.args[4:] == [(x, y), (z, 4), (w, 4), (4, 5, 6)]
+    assert checked_step(rw) is None
+    assert rw.live_op_count() == (2, 3)
+    assert rw.parents[K_SUM] == {x: {4}, y: {4}, 4: {5, 6}}
 
 
 def test_extraction_that_would_merge_nodes_raises():
