@@ -85,6 +85,10 @@ def _self_check(e, dag) -> None:
             raise _SelfCheckError("self-check failed: the result does not evaluate like the input")
 
 
+# simplify, bruteforce and the search commands declare --direction alike.
+_DIRECTION_FLAG = {"choices": [d.value for d in Direction], "default": Direction.FORWARD.value}
+
+
 def _add_search_flags(p):
     p.add_argument("--n-updates", type=int, default=1000, help="tree updates per run")
     p.add_argument(
@@ -93,7 +97,7 @@ def _add_search_flags(p):
         default=Criterion.SA_UCT.value,
         help="uct keeps C_p at every iteration; sa-uct uses C_p*(N-i)/N at iteration i of N",
     )
-    p.add_argument("--direction", choices=["forward", "backward"], default="forward")
+    p.add_argument("--direction", **_DIRECTION_FLAG)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -104,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simplify", help="apply a scheme and report operation counts")
     p.add_argument("exprfile")
     p.add_argument("--scheme", default="occurrence", help='"x,y" order, or "occurrence"')
-    p.add_argument("--direction", choices=["forward", "backward"], default="forward")
+    p.add_argument("--direction", **_DIRECTION_FLAG)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_simplify)
 
@@ -133,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bruteforce", help="exhaustive minimum over all full schemes")
     p.add_argument("exprfile")
-    p.add_argument("--direction", choices=["forward", "backward"], default="forward")
+    p.add_argument("--direction", **_DIRECTION_FLAG)
     p.add_argument("--max-vars", type=int, default=8)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_bruteforce)

@@ -13,6 +13,7 @@ equivalence oracle for every downstream rewrite.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 
@@ -175,7 +176,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            toks.append((_INT, int(text[i:j]), i))
+            try:
+                val = int(text[i:j])
+            except ValueError:  # past sys.get_int_max_str_digits()
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(f"integer literal longer than {limit} digits", i) from None
+            toks.append((_INT, val, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -212,26 +218,6 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return toks
 
 
-class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def take(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_int(self, what: str) -> int:
-        kind, val, pos = self.take()
-        if kind != _INT:
-            raise ParseError(f"expected {what}", pos)
-        return val
-
-
 def parse(text: str, atoms: AtomTable | None = None) -> Expression:
     """Parse expression text into canonical form.
 
@@ -240,50 +226,44 @@ def parse(text: str, atoms: AtomTable | None = None) -> Expression:
     """
     if atoms is None:
         atoms = AtomTable()
-    p = _Parser(_tokenize(text))
-    if p.peek()[0] == _END:
+    toks = _tokenize(text)
+    kind, val, _ = toks[0]
+    if kind == _END:
         raise ParseError("empty expression", 0)
 
-    terms = []
-    sign = 1
-    if p.peek()[0] == _OP and p.peek()[1] in "+-":
-        sign = -1 if p.take()[1] == "-" else 1
+    # Only operator tokens carry '+', '-', '*' or '^' as their value.
+    i, coeff, exps, terms = 0, 1, {}, []
+    if val in ("+", "-"):
+        i, coeff = 1, -1 if val == "-" else 1
     while True:
-        terms.append(_parse_term(p, atoms, sign))
-        kind, val, pos = p.peek()
-        if kind == _END:
-            break
-        if kind == _OP and val in "+-":
-            p.take()
-            sign = -1 if val == "-" else 1
-            continue
-        raise ParseError("expected '+' or '-' between terms", pos)
-    return Expression.from_terms(atoms, terms)
-
-
-def _parse_term(p: _Parser, atoms: AtomTable, sign: int) -> Term:
-    coeff = sign
-    exps: dict[int, int] = {}
-    while True:
-        kind, val, pos = p.take()
+        kind, val, pos = toks[i]
         if kind == _INT:
             coeff *= val
+            i += 1
         elif kind == _ATOM:
             aid = atoms.intern(val)
             e = 1
-            if p.peek()[0] == _OP and p.peek()[1] == "^":
-                p.take()
-                epos = p.peek()[2]
-                e = p.expect_int("integer exponent after '^'")
+            i += 1
+            if toks[i][1] == "^":
+                kind, e, pos = toks[i + 1]
+                if kind != _INT:
+                    raise ParseError("expected integer exponent after '^'", pos)
                 if e < 1:
-                    raise ParseError("exponent must be a positive integer", epos)
+                    raise ParseError("exponent must be a positive integer", pos)
+                i += 2
             exps[aid] = exps.get(aid, 0) + e
         else:
             raise ParseError("expected integer or atom", pos)
-        if p.peek()[0] == _OP and p.peek()[1] == "*":
-            p.take()
+        kind, val, pos = toks[i]
+        i += 1
+        if val == "*":
             continue
-        return Term(coeff, tuple(sorted(exps.items())))
+        terms.append(Term(coeff, tuple(exps.items())))
+        if kind == _END:
+            return Expression.from_terms(atoms, terms)
+        if val not in ("+", "-"):
+            raise ParseError("expected '+' or '-' between terms", pos)
+        coeff, exps = -1 if val == "-" else 1, {}
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,22 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("opmin: error:")
 
+    @pytest.mark.parametrize("over_long", [False, True], ids=["bad-exponent", "over-long-literal"])
+    def test_parse_error_exits_2_with_one_line(self, capsys, tmp_path, over_long):
+        if over_long:
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if not limit:
+                pytest.skip("int() has no digit limit here")
+            text = "9" * (limit + 1) + "*x"
+            message = f"integer literal longer than {limit} digits (at position 0)"
+        else:
+            text, message = "x ^ 0", "exponent must be a positive integer (at position 4)"
+        path = tmp_path / "bad.txt"
+        path.write_text(text + "\n")
+        code, out, err = run(capsys, "simplify", str(path))
+        assert code == 2 and out == ""
+        assert err == f"opmin: error: {message}\n"
+
     def test_unknown_scheme_atom_exits_2(self, capsys, worked):
         code, _, err = run(capsys, "simplify", worked, "--scheme", "x,w")
         assert code == 2

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,27 @@ P31 = 2**31 - 1
 
 WORKED = "x^3*y^2 + x^2*y + x^3*z"
 SINCOS = "sin(x) + cos(x) + sin(x)*x + cos(x)*x"
+
+# Malformed text -> (message, position) of the ParseError it raises.
+REJECTED = {
+    "": ("empty expression", 0),
+    "   ": ("empty expression", 0),
+    "x +": ("expected integer or atom", 3),
+    "* x": ("expected integer or atom", 0),
+    "x + - y": ("expected integer or atom", 4),
+    "x ^ 0": ("exponent must be a positive integer", 4),
+    "x^-2": ("expected integer exponent after '^'", 2),
+    "x^": ("expected integer exponent after '^'", 2),
+    "2^3": ("expected '+' or '-' between terms", 1),
+    "x y": ("expected '+' or '-' between terms", 2),
+    "x^2^3": ("expected '+' or '-' between terms", 3),
+    "(x)": ("unexpected character '('", 0),
+    "x & y": ("unexpected character '&'", 2),
+    "x + sin (x": ("unbalanced '(' in function atom", 8),
+    # The whole text is tokenized first, so the bad character wins over
+    # the missing operator before it.
+    "x y &": ("unexpected character '&'", 4),
+}
 
 
 def brute_factor_count(e: Expression) -> OpCount:
@@ -98,13 +122,70 @@ class TestParse:
         assert e.terms == ()
         assert to_string(e) == "0"
 
-    @pytest.mark.parametrize(
-        "text",
-        ["", "   ", "x +", "* x", "x ^ 0", "x^-2", "2^3", "x y", "(x)", "x & y"],
-    )
+    @pytest.mark.parametrize("text", list(REJECTED))
     def test_rejects(self, text):
-        with pytest.raises(ParseError):
+        message, position = REJECTED[text]
+        with pytest.raises(ParseError) as exc:
             parse(text)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() has no digit limit here",
+    )
+    def test_integer_literal_over_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ParseError) as exc:
+            parse("x + " + "9" * (limit + 1) + "*y")
+        assert str(exc.value) == f"integer literal longer than {limit} digits (at position 4)"
+        assert exc.value.position == 4
+
+    def test_random_texts_parse_to_their_terms(self):
+        # Each case writes a text and, alongside, the atoms in first-seen
+        # order and the terms that text must parse to.
+        rng = random.Random(2013)
+        spaces = ["", "", " ", "\t", " \n "]
+        pool = [  # (text as written, canonical atom text)
+            ("x", "x"),
+            ("y", "y"),
+            ("_a1", "_a1"),
+            ("z²", "z²"),
+            ("sin(x)", "sin(x)"),
+            ("sin (\tx )", "sin(x)"),
+            ("f( g (x) , y )", "f(g(x),y)"),
+        ]
+        for _ in range(400):
+            atoms, terms, toks = AtomTable(), [], []
+            for t in range(rng.randint(1, 5)):
+                sign = 1
+                if t or rng.random() < 0.5:
+                    sign = rng.choice([1, -1])
+                    toks.append("-" if sign < 0 else "+")
+                coeff, exps = sign, {}
+                for f in range(rng.randint(1, 4)):
+                    if f:
+                        toks.append("*")
+                    if rng.random() < 0.3:
+                        c = rng.randint(0, 12)
+                        coeff *= c
+                        toks.append(str(c))
+                        continue
+                    written, canonical = rng.choice(pool)
+                    aid = atoms.intern(canonical)
+                    toks.append(written)
+                    e = 1
+                    if rng.random() < 0.5:
+                        e = rng.randint(1, 3)
+                        toks += ["^", str(e)]
+                    exps[aid] = exps.get(aid, 0) + e
+                terms.append(Term(coeff, tuple(exps.items())))
+            text = "".join(rng.choice(spaces) + tok for tok in toks) + rng.choice(spaces)
+            e = parse(text)
+            assert [e.atoms.text(a) for a in range(len(e.atoms))] == [
+                atoms.text(a) for a in range(len(atoms))
+            ], text
+            assert e.terms == Expression.from_terms(atoms, terms).terms, text
 
     def test_error_position(self):
         with pytest.raises(ParseError) as exc:
