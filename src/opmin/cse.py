@@ -378,31 +378,26 @@ class _Rewriter:
         """
         kinds, args = [], []
         remap: dict[int, int] = {}
-        pending: set[int] = set()
         for root in self.roots:
             stack = [(root, False)]
             while stack:
                 i, ready = stack.pop()
-                if not ready and (i in remap or i in pending):
+                if not ready and i in remap:
                     continue
-                k = self.kinds[i]
+                k, arg = self.kinds[i], self.args[i]
                 if not ready and k in _AC:
-                    pending.add(i)
                     stack.append((i, True))
-                    for c in reversed(self.args[i]):
+                    for c in reversed(arg):
                         stack.append((c, False))
                     continue
                 if not ready and k == K_POW:
-                    pending.add(i)
                     stack.append((i, True))
-                    stack.append((self.args[i][0], False))
+                    stack.append((arg[0], False))
                     continue
                 if k in _AC:
-                    arg = tuple(sorted(remap[c] for c in self.args[i]))
+                    arg = tuple(sorted(remap[c] for c in arg))
                 elif k == K_POW:
-                    arg = (remap[self.args[i][0]], self.args[i][1])
-                else:
-                    arg = tuple(self.args[i])
+                    arg = (remap[arg[0]], arg[1])
                 remap[i] = len(kinds)
                 kinds.append(k)
                 args.append(arg)

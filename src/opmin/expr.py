@@ -71,9 +71,6 @@ class AtomTable:
     def text(self, aid: int) -> str:
         return self._texts[aid]
 
-    def __contains__(self, text: str) -> bool:
-        return text in self._ids
-
     def __len__(self) -> int:
         return len(self._texts)
 
@@ -116,6 +113,12 @@ class Expression:
             if any(e < 0 for _, e in exps):
                 raise ValueError("negative exponent")
             merged[exps] = merged.get(exps, 0) + t.coeff
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        big = max(map(abs, merged.values()), default=0)
+        # Refuse a coefficient that str() cannot print. 8**limit < 10**limit,
+        # so the power is built only for a coefficient near the limit.
+        if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+            raise ValueError(f"coefficient longer than {limit} digits")
         kept = [Term(c, exps) for exps, c in merged.items() if c != 0]
         n = 1 + max((a for t in kept for a, _ in t.exponents), default=-1)
 
@@ -218,14 +221,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return toks
 
 
-def parse(text: str, atoms: AtomTable | None = None) -> Expression:
-    """Parse expression text into canonical form.
-
-    An existing ``AtomTable`` may be passed to share atom ids across related
-    expressions; by default each parse gets a fresh table.
-    """
-    if atoms is None:
-        atoms = AtomTable()
+def parse(text: str) -> Expression:
+    """Parse expression text into canonical form over a fresh atom table."""
+    atoms = AtomTable()
     toks = _tokenize(text)
     kind, val, _ = toks[0]
     if kind == _END:

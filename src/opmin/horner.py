@@ -82,9 +82,6 @@ class Const:
     value: int
 
 
-ExprTree = Sum | Product | Power | Var | Const
-
-
 def sum_node(children: list) -> object:
     """Sum with nested sums flattened; collapses singletons."""
     flat = []

@@ -166,19 +166,12 @@ def run_iteration(state: SearchState, i: int, params: SearchParams, rng) -> int:
         node = child
         path.append(node)
         order.append(atom)
-    else:
-        remaining = []
-    # Simulation: random completion of the scheme ("default policy").
-    if remaining:
-        suffix = np.array(remaining, dtype=np.int64)
-        rng.shuffle(suffix)
-        playout = tuple(order) + tuple(int(a) for a in suffix)
-    else:
-        playout = tuple(order)
-    if params.direction is Direction.BACKWARD:
-        effective = tuple(reversed(playout))
-    else:
-        effective = playout
+        # Simulation: random completion of the scheme ("default policy").
+        # Selection stops only at a terminal node, whose path is a full order.
+        rng.shuffle(remaining)
+        order.extend(remaining)
+    playout = tuple(order)
+    effective = playout[::-1] if params.direction is Direction.BACKWARD else playout
     mul, add = state.scorer.delta(effective)
     delta = mul + add
     # Backpropagation along the stored path, root included.
@@ -220,7 +213,6 @@ def brute_force_search(
     e: Expression,
     direction: Direction = Direction.FORWARD,
     max_vars: int = 8,
-    scorer: DeltaScorer | None = None,
 ) -> SearchResult:
     """Exhaustive minimum over all full extraction orders (lex-first ties)."""
     if not isinstance(direction, Direction):
@@ -230,21 +222,14 @@ def brute_force_search(
         raise ValueError("expression has no variables to order")
     if len(vs) > max_vars:
         raise ValueError(f"{len(vs)} variables exceeds brute-force guard {max_vars}")
-    if scorer is None:
-        scorer = DeltaScorer(e)
-    best_ops: OpCount | None = None
-    best_order: tuple[int, ...] = ()
-    count = 0
-    for perm in permutations(vs):
-        effective = tuple(reversed(perm)) if direction is Direction.BACKWARD else perm
-        mul, add = scorer.delta(effective)
-        count += 1
-        if best_ops is None or mul + add < best_ops.total:
-            best_ops = OpCount(mul=mul, add=add)
-            best_order = perm
+    scorer = DeltaScorer(e)
+    backward = direction is Direction.BACKWARD
+    # min keeps the first of equal totals: the lex-first optimal order.
+    best_order = min(permutations(vs), key=lambda p: sum(scorer.delta(p[::-1] if backward else p)))
+    mul, add = scorer.delta(best_order[::-1] if backward else best_order)
     return SearchResult(
-        best_delta=best_ops,
+        best_delta=OpCount(mul=mul, add=add),
         best_scheme=Scheme(best_order, direction),
         deltas_per_iteration=[],
-        iterations_run=count,
+        iterations_run=math.factorial(len(vs)),
     )

@@ -120,6 +120,18 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"opmin: error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [["simplify"], ["search", "--n-updates", "2"]], ids=["simplify", "search"])
+    @pytest.mark.parametrize("template", ["{a}*{a}*x + y", "{a}*x + {a}*x"], ids=["product", "merged-sum"])
+    def test_coefficient_over_the_digit_limit_exits_2(self, capsys, tmp_path, argv, template):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("int() has no digit limit here")
+        path = tmp_path / "big.txt"
+        path.write_text(template.format(a="9" * limit) + "\n")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2 and out == ""
+        assert err == f"opmin: error: coefficient longer than {limit} digits\n"
+
     def test_unknown_scheme_atom_exits_2(self, capsys, worked):
         code, _, err = run(capsys, "simplify", worked, "--scheme", "x,w")
         assert code == 2

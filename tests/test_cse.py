@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from opmin.expr import OpCount, eval_mod_p, naive_op_count, parse, variables
-from opmin.horner import Power, Product, Scheme, Sum, Var, apply_scheme
+from opmin.benchgen import preset_expr, resultant_expr
+from opmin.horner import Power, Product, Scheme, Sum, Var, apply_scheme, occurrence_order, scheme_from_string
 from opmin.cse import (
     K_CONST,
     K_POW,
@@ -436,3 +439,26 @@ class TestListing:
                     assert all(c < i for c in d.args[i])
                 elif d.kinds[i] == K_POW:
                     assert d.args[i][0] < i
+
+    def test_pinned_hep_like_15_occurrence_order(self):
+        # Pins the compacted node order itself, not only what survives a
+        # second compaction.
+        e = preset_expr("hep-like-15")
+        listing = dag_listing(simplify(e, occurrence_order(e)).dag, e.atoms)
+        digest = hashlib.sha256(listing.encode()).hexdigest()
+        assert digest == "59a408e7b2427b803922591a4a8c91feef55e74931eef9b7a15e303287685479"
+
+    @pytest.mark.parametrize(
+        "direction,sha256",
+        [
+            ("forward", "63a6ec6a05afc0bb1816f833ace2f903fd8885c4ff843f593c2829c04b22c79b"),
+            ("backward", "4fdd5d68539fd792d29c193213d1b593b6becf68b9a2da7e05c24c7a6598bef5"),
+        ],
+        ids=["forward", "backward"],
+    )
+    def test_pinned_res32(self, direction, sha256):
+        e = resultant_expr(3, 2)
+        s = scheme_from_string("b1,a2,b0,a0,b2,a3,a1;" + direction, e.atoms)
+        res = simplify(e, s)
+        assert res.ops == OpCount(mul=26, add=12)
+        assert hashlib.sha256(dag_listing(res.dag, e.atoms).encode()).hexdigest() == sha256

@@ -141,6 +141,20 @@ class TestParse:
         assert str(exc.value) == f"integer literal longer than {limit} digits (at position 4)"
         assert exc.value.position == 4
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() has no digit limit here",
+    )
+    @pytest.mark.parametrize("template", ["{a}*{a}*x + y", "{a}*x + {a}*x"], ids=["product", "merged-sum"])
+    def test_coefficient_over_the_digit_limit(self, template):
+        # Each literal is within the limit; the coefficient they make is not.
+        limit = sys.get_int_max_str_digits()
+        a = "9" * limit
+        with pytest.raises(ValueError) as exc:
+            parse(template.format(a=a))
+        assert str(exc.value) == f"coefficient longer than {limit} digits"
+        assert to_string(parse(f"{a}*x")) == f"{a}*x"  # at the limit still prints
+
     def test_random_texts_parse_to_their_terms(self):
         # Each case writes a text and, alongside, the atoms in first-seen
         # order and the terms that text must parse to.
@@ -259,10 +273,14 @@ class TestEval:
         rng = np.random.default_rng(99)
         for _ in range(50):
             atoms = AtomTable()
-            e1 = parse("x0*x1 + 3*x2", atoms)
+            x0, x1, x2 = (atoms.intern(f"x{i}") for i in range(3))
+            e1 = Expression.from_terms(atoms, [Term(1, ((x0, 1), (x1, 1))), Term(3, ((x2, 1),))])
             e2 = random_expression(rng)
             # rebuild e2 over the shared table
-            e2 = parse(to_string(e2), atoms)
+            e2 = Expression.from_terms(
+                atoms,
+                [Term(t.coeff, tuple((atoms.intern(e2.atoms.text(a)), x) for a, x in t.exponents)) for t in e2.terms],
+            )
             combined = Expression.from_terms(atoms, e1.terms + e2.terms)
             pts = {a: int(rng.integers(0, P31)) for a in range(len(atoms))}
             lhs = eval_mod_p(combined, pts, P31)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import permutations
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from opmin.expr import OpCount, naive_op_count, parse, variables
-from opmin.horner import Direction, Scheme
+from opmin.horner import Direction, Scheme, scheme_to_string
 from opmin import mcts
 from opmin.cse import DeltaScorer, simplify
 from opmin.mcts import (
@@ -21,7 +22,7 @@ from opmin.mcts import (
     search,
     temperature,
 )
-from opmin.benchgen import RandomExprParams, random_expr
+from opmin.benchgen import RandomExprParams, random_expr, resultant_expr
 
 from test_expr import WORKED
 
@@ -347,3 +348,45 @@ class TestBruteForce:
             bf = brute_force_search(e)
             mc = search(e, params(n_updates=60, seed=seed))
             assert bf.best_delta.total <= mc.best_delta.total
+
+
+# Results of the current implementation, pinned so that a refactor which
+# changes a draw, a tie rule or a score shows up as a failing test.
+PINNED_SEARCHES = [
+    ("uct", "forward", 0, "68ba44fabf2a887f20e19e2c072edc928f877fb4aed3de30f054a907cf9a344b", "a0,b0,b1,a1,a2,b2,a3;forward", 36),
+    ("uct", "forward", 1, "2f49ab4bbba67ea9bc9b7fb79ceb038aab6fd8cd60df9ff24df9637f4be0c236", "a0,b0,a1,b1,a2,b2,a3;forward", 34),
+    ("uct", "backward", 0, "f53150312c7467044ebf23765d2cc8b19fbdfa79fd46d4a4335b3e1523486bb7", "b0,a0,b1,a3,a1,a2,b2;backward", 34),
+    ("uct", "backward", 1, "cdc1993dccf0ded0e61c02a4f4180eb10bdb97b31bff2e1956ca4d6e20226493", "b0,b1,a0,a1,a2,a3,b2;backward", 34),
+    ("sa-uct", "forward", 0, "6f9a5aa0fe084c1a6e6ade52d4a9e66812b6248d10f97e7211e9b23db2664c1a", "a0,b0,a2,a3,a1,b1,b2;forward", 34),
+    ("sa-uct", "forward", 1, "cf74d900422f31f6807db84db581236ee3c2e26e2847c127fd6e37b70940427c", "a3,b2,a2,a1,a0,b1,b0;forward", 34),
+    ("sa-uct", "backward", 0, "60eafe19ac1383ac7309e312f3443e7753b051b1162e5b73f1cffb4720c45fd5", "b1,b2,b0,a2,a3,a1,a0;backward", 36),
+    ("sa-uct", "backward", 1, "89305d2f5d74e85f60c5389fb5527325b1034798407d810a90f7bf4c1899f9a2", "b2,a3,a2,b1,a1,a0,b0;backward", 34),
+]
+
+
+class TestPinnedResults:
+    @pytest.mark.parametrize(
+        "criterion,direction,seed,trace_sha256,scheme,total",
+        PINNED_SEARCHES,
+        ids=[f"{c}-{d}-seed{s}" for c, d, s, *_ in PINNED_SEARCHES],
+    )
+    def test_search_on_res32(self, criterion, direction, seed, trace_sha256, scheme, total):
+        e = resultant_expr(3, 2)
+        p = params(n_updates=200, criterion=Criterion(criterion), direction=Direction(direction), seed=seed)
+        res = search(e, p)
+        trace = ",".join(map(str, res.deltas_per_iteration)).encode()
+        assert hashlib.sha256(trace).hexdigest() == trace_sha256
+        assert scheme_to_string(res.best_scheme, e.atoms) == scheme
+        assert res.best_delta.total == total
+
+    @pytest.mark.parametrize(
+        "direction,scheme",
+        [("forward", "x0,x4,x3,x2,x1;forward"), ("backward", "x0,x1,x2,x4,x3;backward")],
+        ids=["forward", "backward"],
+    )
+    def test_brute_force_on_five_vars(self, direction, scheme):
+        e = five_var_expr()
+        res = brute_force_search(e, Direction(direction))
+        assert scheme_to_string(res.best_scheme, e.atoms) == scheme
+        assert res.best_delta.total == 49
+        assert res.iterations_run == 120
