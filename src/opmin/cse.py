@@ -149,15 +149,15 @@ class _Rewriter:
     ``best_pair`` re-ranks a stale top in place with the current count
     while that is two or more, drops it otherwise, and returns the first
     top that is current: the minimum rank over all repeated pairs.
-    ``index`` maps each node's structural key to its id.
 
-    Extracting (kind, a, b) is one rewrite: every node that holds both a
-    and b gets the node p = (kind, [a, b]) in their place. p is appended
-    unless it exists, so ids stay stable and tie-breaking by id is well
-    defined across iterations. A rewritten node n changes only its
-    children a, b and p, so the rewrite costs O(k) for a k-ary n, and only
-    three parent sets change: a's and b's lose the targets and gain p, and
-    p's is the targets.
+    Extracting (kind, a, b) is one rewrite: every node that holds both a and
+    b gets the node p = (kind, [a, b]) in their place. An existing p is the
+    one holder with two children, as child lists are strictly increasing and
+    nodes distinct; otherwise p is appended, so ids stay stable and
+    tie-breaking by id is well defined across iterations. A rewritten node n
+    changes only its children a, b and p, so the rewrite costs O(k) for a
+    k-ary n, and only three parent sets change: a's and b's lose the targets
+    and gain p, and p's is the targets.
 
     Precondition: every add/mul child list is strictly increasing, so no
     node repeats a child, and no add/mul node has a child of its own kind.
@@ -196,20 +196,23 @@ class _Rewriter:
     has both sets.
 
     ``__init__`` raises ValueError on a child list that is not strictly
-    increasing. ``extract`` raises on a target that already holds p, on a
-    rewrite that would make a copy of another node, and on a p that is
-    already the child of a node of its own kind (``inner``), the one case
-    in which a pair (c, p) could predate the extraction and p's parent set
-    could miss a node. So a ``Dag`` outside the precondition fails loudly
-    instead of miscounting.
+    increasing. ``extract`` raises, before it changes any node, when p
+    already existed and is in ``inner``: it has had a parent of its own
+    kind. Only then can a pair (c, p) predate the extraction and p's
+    parent set miss a node. The check also covers a target that already
+    holds p, and a target rewritten into a copy of another node, which
+    holds p too (two targets would have been identical before). Each needs
+    a node of p's kind that holds p before p's extraction, so p had a
+    same-kind parent: one in the input, which ``from_dag`` records, or one
+    made when p's key was extracted before, which ``extract`` records. So
+    a ``Dag`` outside the precondition fails loudly instead of miscounting.
     """
 
-    def __init__(self, kinds: list, args: list, roots: list, index: dict):
+    def __init__(self, kinds: list, args: list, roots: list):
         # Takes ownership of the arena lists.
         self.kinds = kinds
         self.args = args
         self.roots = roots
-        self.index = index
         self.inner: set[int] = set()  # add/mul nodes that have had a parent of their kind
         self.parents: tuple[dict[int, set[int]], dict[int, set[int]]] = ({}, {})
         self.heap: list[int] = []
@@ -257,7 +260,7 @@ class _Rewriter:
                 raise ValueError(f"nodes {index[key]} and {i} are identical")
             index[key] = i
             args.append(a)
-        rw = cls(list(d.kinds), args, list(d.roots), index)
+        rw = cls(list(d.kinds), args, list(d.roots))
         kinds = d.kinds
         rw.inner.update(c for k, a in zip(kinds, d.args) if k in _AC for c in a if kinds[c] == k)
         return rw
@@ -288,54 +291,37 @@ class _Rewriter:
     def extract(self, key) -> None:
         """Replace a and b by p = (kind, [a, b]) in every node that holds both."""
         kind, a, b = key
-        index = self.index
-        args = self.args
-        pch = (a, b)
-        pkey = (kind, pch)
-        p = index.get(pkey)
-        if p is None:
-            p = len(self.kinds)
-            self.kinds.append(kind)
-            args.append(pch)
-            index[pkey] = p
+        kinds, args = self.kinds, self.args
         par = self.parents[kind]
         pa = par[a]
         pb = par[b]
         targets = pa & pb
-        targets.discard(p)
-        holders: dict[int, list[int]] = {}  # c -> the targets that will hold (c, p)
-        for n in targets:
-            ch = args[n]
-            rest = [c for c in ch if c != a and c != b]
-            if p in rest:
-                raise ValueError(f"node {n} already holds node {p}, the pair {key} being extracted")
-            newch = tuple(sorted(rest + [p]))
-            newkey = (kind, newch)
-            m = index.get(newkey)
-            if m is not None:
-                raise ValueError(f"extracting {key} turns node {n} into a copy of node {m}")
-            for c in rest:
-                ns = holders.get(c)
-                if ns is None:
-                    holders[c] = [n]
-                else:
-                    ns.append(n)
-            del index[kind, ch]
-            index[newkey] = n
-            args[n] = newch
-        if p in self.inner:
+        p = next((n for n in targets if len(args[n]) == 2), None)
+        if p is None:
+            p = len(kinds)
+            kinds.append(kind)
+            args.append((a, b))
+        elif p in self.inner:
             raise ValueError(f"node {p}, the pair {key} being extracted, is a same-kind child")
+        else:
+            targets.discard(p)
         self.inner.add(p)
+        holders: dict[int, int] = {}  # c -> how many targets will hold (c, p)
+        for n in targets:
+            rest = [c for c in args[n] if c != a and c != b]
+            for c in rest:
+                holders[c] = holders.get(c, 0) + 1
+            args[n] = tuple(sorted(rest + [p]))
         pa -= targets
         pb -= targets
         pa.add(p)
         pb.add(p)
         par[p] = targets
         heap = self.heap
-        for c, ns in holders.items():
-            if len(ns) >= 2:
+        for c, count in holders.items():
+            if count >= 2:
                 new = c << 33 | p << 1 | kind if c < p else p << 33 | c << 1 | kind
-                heappush(heap, new - (len(ns) << _COUNT_SHIFT))
+                heappush(heap, new - (count << _COUNT_SHIFT))
 
     def run(self) -> None:
         while True:
@@ -373,7 +359,7 @@ class _Rewriter:
     def compact(self) -> Dag:
         """Rebuild reachable nodes in topological order with fresh ids.
 
-        Arena keys are distinct and the remapping is one-to-one, so the
+        Arena nodes are distinct and the remapping is one-to-one, so the
         rebuilt nodes are distinct without re-interning.
         """
         kinds, args = [], []
@@ -670,7 +656,7 @@ class DeltaScorer:
 
         n = len(coeffs)
         if not n:
-            return _Rewriter(kinds, args, [intern(K_CONST, (0,))], index)
+            return _Rewriter(kinds, args, [intern(K_CONST, (0,))])
         # Levels of one or two terms are closed at once; larger ones are
         # generators on the stack.
         stack = []
@@ -691,7 +677,7 @@ class DeltaScorer:
                     stack.pop()
                     val = done.value
             else:
-                return _Rewriter(kinds, args, [close(*val)], index)
+                return _Rewriter(kinds, args, [close(*val)])
 
 
 def simplify(e: Expression, s: Scheme) -> SimplifyResult:

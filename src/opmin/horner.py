@@ -224,8 +224,6 @@ def occurrence_order(e: Expression) -> Scheme:
 
     Descending occurrence count, ties broken by ascending atom id; forward.
     """
-    if not e.terms:
-        raise ValueError("occurrence order of the zero expression is undefined")
     counts: dict[int, int] = {}
     for t in e.terms:
         for a, _ in t.exponents:

@@ -135,21 +135,21 @@ def run_sweep(
     workers = min(jobs, len(tasks))
     if workers == 1:
         return [_run_sample(e, config, k, cp, scorer) for k, cp in tasks]
-    return _run_in_workers(e, config, tasks, workers, scorer.cache)
+    return _run_in_workers(e, config, tasks, workers, scorer)
 
 
-def _worker(conn, parent_end, e: Expression, config: SweepConfig) -> None:
+def _worker(conn, parent_end, e: Expression, config: SweepConfig, scorer: DeltaScorer) -> None:
     """Run the samples the parent sends until it sends None or is gone.
 
-    A task is ``((k, cp), entries)``; the entries go into this worker's
-    cache before the search. The reply is ``(True, (row, new))``, where
-    ``new`` is the tail of the insertion-ordered cache that the search
-    added, or ``(False, (exception, traceback text))``. ``parent_end`` is
-    this worker's copy of the parent's end of the pipe; closing it lets
-    ``recv`` see end-of-file once the parent has exited.
+    *scorer* is the caller's, inherited under fork and pickled once under
+    spawn. A task is ``((k, cp), entries)``; the entries go into its cache
+    before the search. The reply is ``(True, (row, new))``, where ``new``
+    is the tail of the insertion-ordered cache that the search added, or
+    ``(False, (exception, traceback text))``. ``parent_end`` is this
+    worker's copy of the parent's end of the pipe; closing it lets ``recv``
+    see end-of-file once the parent has exited.
     """
     parent_end.close()
-    scorer = DeltaScorer(e)
     cache = scorer.cache
     try:
         while (task := conn.recv()) is not None:
@@ -168,21 +168,22 @@ def _worker(conn, parent_end, e: Expression, config: SweepConfig) -> None:
         return  # the parent has exited
 
 
-def _run_in_workers(e, config, tasks, workers: int, cache: dict) -> list[SweepRow]:
+def _run_in_workers(e, config, tasks, workers: int, scorer: DeltaScorer) -> list[SweepRow]:
     """Rows of *tasks*, run one sample at a time by each of *workers* processes.
 
-    The parent holds the one *cache*: a task carries the entries its worker
-    has not been sent yet, and a result's entries are added here and queued
-    for the other workers. A search makes the same scorer calls whether they
-    hit or miss, so a row does not depend on which worker ran it or on what
-    that worker had been sent.
+    The parent holds the one cache, *scorer*'s, which each worker starts
+    from: a task carries the entries its worker has not been sent yet, and
+    a result's entries are added here and queued for the other workers. A
+    search makes the same scorer calls whether they hit or miss, so a row
+    does not depend on which worker ran it or on what it had been sent.
     """
     import multiprocessing as mp
     from multiprocessing.connection import wait
 
     ctx = mp.get_context()
     conns, procs = [], []
-    unsent = [list(cache.items()) for _ in range(workers)]
+    cache = scorer.cache
+    unsent = [[] for _ in range(workers)]
     pending = iter(tasks)
     busy: dict = {}  # connection -> worker index
     rows: list[SweepRow] = []
@@ -197,7 +198,7 @@ def _run_in_workers(e, config, tasks, workers: int, cache: dict) -> list[SweepRo
     try:
         for _ in range(workers):
             conn, child = ctx.Pipe()
-            proc = ctx.Process(target=_worker, args=(child, conn, e, config), daemon=True)
+            proc = ctx.Process(target=_worker, args=(child, conn, e, config, scorer), daemon=True)
             proc.start()
             child.close()
             conns.append(conn)

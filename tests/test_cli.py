@@ -43,6 +43,15 @@ class TestExitCodes:
         assert code == 0 and err == ""
         assert out.startswith("naive:")
 
+    def test_simplify_accepts_input_that_cancels_to_zero(self, capsys, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text("x - x\n")
+        code, out, err = run(capsys, "simplify", str(path))
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert "cse:    0 mul + 0 add = 0" in lines
+        assert "t0 = const 0" in lines
+
     def test_malformed_command_line_exits_1(self, capsys, worked):
         for extra in (["--no-such-flag"], ["--schedule", "const"]):
             with pytest.raises(SystemExit) as exc:

@@ -201,6 +201,9 @@ class TestOccurrenceOrder:
     def test_direction_is_forward(self):
         assert occurrence_order(parse("x + y")).direction is Direction.FORWARD
 
+    def test_zero_expression_gets_the_empty_order(self):
+        assert occurrence_order(parse("x - x")).order == ()
+
 
 class TestSchemeSerialization:
     def test_round_trip(self):

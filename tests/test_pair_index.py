@@ -78,8 +78,11 @@ def checked_step(rw):
 
     Only the children of repeated pairs get parent sets, so the index
     must hold a set for every child of a repeated pair of the recount,
-    and every set it holds must match the recount.
+    and every set it holds must match the recount. No two add/mul nodes
+    may be identical: the rewriter never merges nodes.
     """
+    keys = [(k, a) for k, a in zip(rw.kinds, rw.args) if k in (K_SUM, K_PROD)]
+    assert len(set(keys)) == len(keys)
     pairs, parents = recount(rw)
     repeated = [key for key, s in pairs.items() if len(s) >= 2]
     for k, a, b in repeated:
@@ -153,13 +156,15 @@ def test_extraction_reuses_an_existing_pair_node():
 def test_extraction_that_would_merge_nodes_raises():
     # Extracting y+z (node 4) would turn B = y+z+w (node 5) into 4+w, a copy
     # of C (node 6). Only a sum nested in a sum allows this, and no Horner
-    # arena has one; the rewriter does not merge, so it must refuse.
+    # arena has one; the rewriter does not merge, so it must refuse. C is a
+    # sum that holds node 4, so node 4 is a same-kind child.
     y, z, w, u = 0, 1, 2, 3
     kinds = [K_VAR] * 4 + [K_SUM, K_SUM, K_SUM, K_PROD, K_PROD, K_SUM, K_SUM]
     args = [(y,), (z,), (w,), (u,)]
     args += [(y, z), (y, z, w), (w, 4), (u, 5), (u, 6), (7, 8), (w, 7, 8)]
     rw = _Rewriter.from_dag(Dag(kinds, args, [9, 10]))
-    with pytest.raises(ValueError, match="node 5 into a copy of node 6"):
+    message = r"node 4, the pair \(0, 0, 1\) being extracted, is a same-kind child"
+    with pytest.raises(ValueError, match=message):
         rw.run()
 
 
@@ -167,6 +172,7 @@ def test_extraction_of_a_same_kind_child_raises():
     # Node 5 = a+b is a child of the sum X = c+(a+b) (node 6). Extracting
     # a+b from nodes 7 and 8 gives them the pair (c, 5), which X already
     # holds alone, so that pair has no set and its count would be short.
+    # The refusal comes before any node is rewritten.
     a, b, c, d, e = range(5)
     kinds = [K_VAR] * 5 + [K_SUM] * 4 + [K_PROD]
     args = [(a,), (b,), (c,), (d,), (e,)]
@@ -175,6 +181,8 @@ def test_extraction_of_a_same_kind_child_raises():
     assert rw.best_pair() == (K_SUM, a, b)
     with pytest.raises(ValueError, match="node 5, the pair .* is a same-kind child"):
         rw.run()
+    assert rw.kinds == kinds
+    assert rw.args == args
 
 
 @pytest.mark.parametrize("children", [(0, 0, 1), (1, 0)], ids=["repeated", "unsorted"])

@@ -165,6 +165,36 @@ except Exception as exc:
 """
 
 
+class ItemsCountingDict(dict):
+    """A dict that counts its ``items()`` calls in this process."""
+
+    items_calls = 0
+
+    def items(self):
+        self.items_calls += 1
+        return super().items()
+
+
+def check_workers_start_from_the_callers_cache():
+    """A jobs=2 sweep from a preloaded cache gives the jobs=1 rows and cache."""
+    e = resultant_expr(3, 2)
+    cfg = small_config(samples=6, n_updates=30)
+    scorer = DeltaScorer(e)
+    run_sweep(e, cfg, jobs=1, scorer=scorer)
+    # Counts raised by 100 for every order this sweep scores. A worker that
+    # did not start from them would score those orders itself and steer its
+    # searches differently.
+    marked = {order: (mul + 100, add) for order, (mul, add) in scorer.cache.items()}
+    rows, caches = [], []
+    for jobs in (1, 2):
+        scorer = DeltaScorer(e)
+        scorer.cache.update(marked)
+        rows.append(run_sweep(e, cfg, jobs=jobs, scorer=scorer))
+        caches.append(scorer.cache)
+    assert rows[1] == rows[0]
+    assert caches[1] == caches[0]
+
+
 class TestSharedCache:
     @pytest.mark.parametrize(
         "make",
@@ -186,22 +216,28 @@ class TestSharedCache:
         assert four.cache == one.cache
 
     def test_workers_are_sent_the_callers_cache(self):
+        check_workers_start_from_the_callers_cache()
+
+    def test_spawned_workers_are_sent_the_callers_cache(self):
+        code = """
+import multiprocessing, sys
+multiprocessing.set_start_method("spawn")
+sys.path.insert(0, {tests!r})
+from test_sweep import check_workers_start_from_the_callers_cache
+check_workers_start_from_the_callers_cache()
+print("ok")
+"""
+        assert run_script(code.format(tests=str(Path(__file__).resolve().parent))) == "ok\n"
+
+    def test_parent_does_not_copy_the_callers_cache(self):
         e = resultant_expr(3, 2)
         cfg = small_config(samples=6, n_updates=30)
         scorer = DeltaScorer(e)
-        run_sweep(e, cfg, jobs=1, scorer=scorer)
-        # Counts raised by 100 for every order this sweep scores. A worker
-        # that was not sent them would score those orders itself and steer
-        # its searches differently.
-        marked = {order: (mul + 100, add) for order, (mul, add) in scorer.cache.items()}
-        rows, caches = [], []
-        for jobs in (1, 2):
-            scorer = DeltaScorer(e)
-            scorer.cache.update(marked)
-            rows.append(run_sweep(e, cfg, jobs=jobs, scorer=scorer))
-            caches.append(scorer.cache)
-        assert rows[1] == rows[0]
-        assert caches[1] == caches[0]
+        want = run_sweep(e, cfg, jobs=1, scorer=scorer)
+        counting = DeltaScorer(e)
+        counting.cache = ItemsCountingDict(scorer.cache)
+        assert run_sweep(e, cfg, jobs=2, scorer=counting) == want
+        assert counting.cache.items_calls == 0
 
     @pytest.mark.parametrize("jobs, samples, started", [(4, 2, 2), (8, 1, 0), (2, 5, 2)])
     def test_starts_at_most_samples_workers(self, monkeypatch, jobs, samples, started):
