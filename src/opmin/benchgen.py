@@ -118,6 +118,8 @@ class RandomExprParams:
         for name in ("n_vars", "n_terms", "max_exponent", "coeff_range"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def random_expr(p: RandomExprParams) -> Expression:

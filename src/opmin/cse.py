@@ -10,9 +10,10 @@ wide sums/products that hash-consing alone cannot see.
 The rewriter keeps, per operator, the parent set of every child that sits
 in a repeated pair: all nodes of that operator that hold the child. A
 pair's holders are the intersection of its two children's parent sets.
-Pairs are packed into int keys, and a min-heap holds one int rank per
-repeated pair, pushed when the pair is created; a pair's count only falls
-after that, so a stale top is re-ranked in place or dropped. The initial
+Pairs are packed into int keys whose id fields are as wide as the arena
+can ever need, and a min-heap holds one int rank per repeated pair,
+pushed when the pair is created; a pair's count only falls after that,
+so a stale top is re-ranked in place or dropped. The initial
 pairs are counted in one C-level pass, and only the children of pairs
 counted twice or more get parent sets. Extracting a pair (a, b) replaces
 a and b by the pair's node p in every node that holds both; that changes
@@ -51,10 +52,6 @@ from .horner import Const, Power, Scheme, Sum, Var, check_scheme, effective_orde
 K_SUM, K_PROD, K_POW, K_VAR, K_CONST = 0, 1, 2, 3, 4
 _AC = (K_SUM, K_PROD)
 _KIND_NAMES = {K_SUM: "add", K_PROD: "mul", K_POW: "pow", K_VAR: "var", K_CONST: "const"}
-# Pair keys and heap ranks of ``_Rewriter``; node ids must stay below 2**32.
-_ID_MASK = (1 << 32) - 1
-_COUNT_SHIFT = 65
-_KEY_MASK = (1 << _COUNT_SHIFT) - 1
 
 
 class Dag:
@@ -133,31 +130,41 @@ class _Rewriter:
     """Mutable arena for greedy pair extraction.
 
     A pair (kind, a, b) with a < b is packed into one int key,
-    ``(a << 32 | b) << 1 | kind``, which sorts like the tuple (a, b, kind);
-    node ids must stay below 2**32. ``parents[kind][c]`` is the set of
-    add/mul nodes of that kind whose child list contains c. It exists for
-    both children of every pair that two or more nodes held when the pair
-    was created, and it is complete: it holds every node of that kind that
-    has the child, not only those that hold the pair. So the nodes that
-    hold (kind, a, b) are ``parents[kind][a] & parents[kind][b]``, and the
-    pair's count is that intersection's size. A pair held by one node gives
-    its children no sets: by property 5 below it can never repeat. ``heap``
-    is a min-heap of int ranks ``key - (count << 65)``, which sort like the
-    tuple ``(-count, a, b, kind)``: most frequent first, ties to the
-    smallest ids, add first. Each repeated key has one rank, pushed when
-    the pair is created. By property 5 its count can only be too high, so
-    ``best_pair`` re-ranks a stale top in place with the current count
-    while that is two or more, drops it otherwise, and returns the first
-    top that is current: the minimum rank over all repeated pairs.
+    ``(a << bits | b) << 1 | kind``, which sorts like the tuple
+    (a, b, kind). ``bits`` is the bit length of the arena's node count
+    plus the total child count of its add/mul nodes. Each extraction
+    lowers the sum of k - 1 over add/mul nodes with k children by at
+    least one: each target loses a child, and an appended p adds only
+    2 - 1 = 1 for two or more targets. So there are fewer extractions than
+    children, and every node id and every count stays below ``2**bits``.
+
+    ``parents[kind][c]`` is the set of add/mul nodes of that kind whose
+    child list contains c. It exists for both children of every pair that
+    two or more nodes held when the pair was created, and it is complete:
+    it holds every node of that kind that has the child, not only those
+    that hold the pair. So the nodes that hold (kind, a, b) are
+    ``parents[kind][a] & parents[kind][b]``, and the pair's count is that
+    intersection's size. A pair held by one node gives its children no
+    sets: by property 5 below it can never repeat. ``heap`` is a min-heap
+    of int ranks ``key - (count << shift)``, with ``shift = 2 * bits + 1``
+    the key's width, which sort like the tuple ``(-count, a, b, kind)``:
+    most frequent first, ties to the smallest ids, add first. Each
+    repeated key has one rank, pushed when the pair is created. By
+    property 5 its count can only be too high, so ``best_pair`` re-ranks a
+    stale top in place with the current count while that is two or more,
+    drops it otherwise, and returns the first top that is current: the
+    minimum rank over all repeated pairs.
 
     Extracting (kind, a, b) is one rewrite: every node that holds both a and
     b gets the node p = (kind, [a, b]) in their place. An existing p is the
     one holder with two children, as child lists are strictly increasing and
     nodes distinct; otherwise p is appended, so ids stay stable and
-    tie-breaking by id is well defined across iterations. A rewritten node n
-    changes only its children a, b and p, so the rewrite costs O(k) for a
-    k-ary n, and only three parent sets change: a's and b's lose the targets
-    and gain p, and p's is the targets.
+    tie-breaking by id is well defined across iterations. An appended p has
+    the largest id, so a rewritten child list is its rest with p at the
+    end; only an existing p is sorted in. A rewritten node n changes only
+    its children a, b and p, so the rewrite costs O(k) for a k-ary n, and
+    only three parent sets change: a's and b's lose the targets and gain
+    p, and p's is the targets.
 
     Precondition: every add/mul child list is strictly increasing, so no
     node repeats a child, and no add/mul node has a child of its own kind.
@@ -222,6 +229,9 @@ class _Rewriter:
                 ids, chs = nodes[k]
                 ids.append(i)
                 chs.append(ch)
+        width = len(kinds) + sum(map(len, chain.from_iterable(chs for _, chs in nodes)))
+        self.bits = bits = width.bit_length()
+        self.shift = shift = 2 * bits + 1
         for k, (ids, chs) in zip(_AC, nodes):
             counts = Counter(chain.from_iterable(map(combinations, chs, repeat(2))))
             if any(starmap(ge, counts)):
@@ -229,7 +239,7 @@ class _Rewriter:
             repeated = [(x, y, n) for (x, y), n in counts.items() if n >= 2]
             if not repeated:
                 continue
-            self.heap += [(x << 33 | y << 1 | k) - (n << _COUNT_SHIFT) for x, y, n in repeated]
+            self.heap += [((x << bits | y) << 1 | k) - (n << shift) for x, y, n in repeated]
             par = self.parents[k]
             for c in {c for x, y, _ in repeated for c in (x, y)}:
                 par[c] = set()
@@ -272,18 +282,21 @@ class _Rewriter:
         """
         heap = self.heap
         parents = self.parents
+        bits, shift = self.bits, self.shift
+        key_mask = (1 << shift) - 1
+        id_mask = (1 << bits) - 1
         while heap:
             rank = heap[0]
-            key = rank & _KEY_MASK
+            key = rank & key_mask
             kind = key & 1
-            a = key >> 33
-            b = (key >> 1) & _ID_MASK
+            a = key >> (bits + 1)
+            b = (key >> 1) & id_mask
             par = parents[kind]
             n = len(par[a] & par[b])
-            if n == -(rank >> _COUNT_SHIFT):
+            if n == -(rank >> shift):
                 return kind, a, b
             if n >= 2:
-                heapreplace(heap, key - (n << _COUNT_SHIFT))
+                heapreplace(heap, key - (n << shift))
             else:
                 heappop(heap)
         return None
@@ -297,7 +310,8 @@ class _Rewriter:
         pb = par[b]
         targets = pa & pb
         p = next((n for n in targets if len(args[n]) == 2), None)
-        if p is None:
+        appended = p is None
+        if appended:
             p = len(kinds)
             kinds.append(kind)
             args.append((a, b))
@@ -311,17 +325,19 @@ class _Rewriter:
             rest = [c for c in args[n] if c != a and c != b]
             for c in rest:
                 holders[c] = holders.get(c, 0) + 1
-            args[n] = tuple(sorted(rest + [p]))
+            # An appended p has the largest id, so it goes last.
+            args[n] = (*rest, p) if appended else tuple(sorted(rest + [p]))
         pa -= targets
         pb -= targets
         pa.add(p)
         pb.add(p)
         par[p] = targets
         heap = self.heap
+        bits, shift = self.bits, self.shift
         for c, count in holders.items():
             if count >= 2:
-                new = c << 33 | p << 1 | kind if c < p else p << 33 | c << 1 | kind
-                heappush(heap, new - (count << _COUNT_SHIFT))
+                new = (c << bits | p) << 1 | kind if c < p else (p << bits | c) << 1 | kind
+                heappush(heap, new - (count << shift))
 
     def run(self) -> None:
         while True:

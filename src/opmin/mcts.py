@@ -53,6 +53,8 @@ class SearchParams:
             raise ValueError("n_updates must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not isinstance(self.criterion, Criterion):
             # temperature() tests identity, so "uct" would silently run SA-UCT.
             raise TypeError(f"criterion must be a Criterion, got {self.criterion!r}")

@@ -58,6 +58,8 @@ class SweepConfig:
             raise ValueError("samples must be >= 1")
         if self.n_updates < 1:
             raise ValueError("n_updates must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
 
 
 @dataclass(frozen=True)

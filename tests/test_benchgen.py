@@ -105,6 +105,10 @@ class TestResultant:
 
 
 class TestRandomExpr:
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            RandomExprParams(n_vars=1, n_terms=1, max_exponent=1, coeff_range=9, seed=-1)
+
     def test_single_monomial_shape(self):
         e = random_expr(RandomExprParams(n_vars=1, n_terms=1, max_exponent=1, coeff_range=9, seed=0))
         assert len(e.terms) == 1

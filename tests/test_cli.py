@@ -72,6 +72,25 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"opmin: error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("search", ["--seed", "-5"], "seed must be >= 0"),
+            ("sweep", ["--samples", "2", "--seed", "-1"], "base_seed must be >= 0"),
+        ],
+        ids=["search", "sweep"],
+    )
+    def test_negative_seed_exits_2(self, capsys, worked, command, extra, message):
+        code, out, err = run(capsys, command, worked, *extra)
+        assert code == 2 and out == ""
+        assert err == f"opmin: error: {message}\n"
+
+    def test_generate_random_negative_seed_exits_2(self, capsys):
+        argv = ["generate", "random", "--vars", "2", "--terms", "3", "--seed", "-1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "opmin: error: seed must be >= 0\n"
+
     def test_infinite_sweep_range_exits_2(self, capsys, worked):
         code, out, err = run(capsys, "sweep", worked, "--samples", "2", "--cp-max", "inf")
         assert code == 2 and out == ""

@@ -69,6 +69,10 @@ class TestTemperature:
         with pytest.raises(TypeError, match="direction must be a Direction"):
             params(direction="backward")
 
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            params(seed=-1)
+
     def test_nonincreasing(self):
         for criterion in Criterion:
             p = params(cp=2.0, n_updates=200, criterion=criterion)

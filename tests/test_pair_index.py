@@ -8,12 +8,16 @@ bookkeeping. Every child of a repeated pair of that recount must have a
 stored parent set, every stored set must match the recount, the heap must
 hold one rank per key that is never below the key's current count and is
 present for every repeated pair, and ``best_pair`` must be the
-minimum-rank repeated pair. Unlike ``test_equivalence``, whose reference
-also runs ``_Rewriter``, this catches a bug in the index or the heap. The
-rewriter does not merge nodes, so a DAG on which an extraction would make
-two nodes identical, whose add/mul child lists are not strictly
-increasing, or on which an extracted pair's node is already a same-kind
-child, must raise ValueError.
+minimum-rank repeated pair. Ranks are decoded with the rewriter's own
+widths, ``bits`` per node id and ``shift`` per key, which are sized to the
+arena; every id and count must stay below ``2**bits``, and every add/mul
+child list must stay strictly increasing, also where ``extract`` appends
+a new pair node without sorting. Unlike ``test_equivalence``, whose
+reference also runs ``_Rewriter``, this catches a bug in the index or the
+heap. The rewriter does not merge nodes, so a DAG on which an extraction
+would make two nodes identical, whose add/mul child lists are not
+strictly increasing, or on which an extracted pair's node is already a
+same-kind child, must raise ValueError.
 """
 
 import signal
@@ -68,9 +72,9 @@ def recount(rw):
     return pairs, parents
 
 
-def unpack(key: int) -> tuple[int, int, int]:
-    """(kind, a, b) of a packed pair key ``(a << 32 | b) << 1 | kind``."""
-    return key & 1, key >> 33, (key >> 1) & (2**32 - 1)
+def unpack(key: int, bits: int) -> tuple[int, int, int]:
+    """(kind, a, b) of a packed pair key ``(a << bits | b) << 1 | kind``."""
+    return key & 1, key >> (bits + 1), (key >> 1) & (2**bits - 1)
 
 
 def checked_step(rw):
@@ -79,10 +83,13 @@ def checked_step(rw):
     Only the children of repeated pairs get parent sets, so the index
     must hold a set for every child of a repeated pair of the recount,
     and every set it holds must match the recount. No two add/mul nodes
-    may be identical: the rewriter never merges nodes.
+    may be identical: the rewriter never merges nodes. Every add/mul child
+    list must be strictly increasing.
     """
     keys = [(k, a) for k, a in zip(rw.kinds, rw.args) if k in (K_SUM, K_PROD)]
     assert len(set(keys)) == len(keys)
+    for k, a in keys:
+        assert all(x < y for x, y in zip(a, a[1:])), (k, a)
     pairs, parents = recount(rw)
     repeated = [key for key, s in pairs.items() if len(s) >= 2]
     for k, a, b in repeated:
@@ -91,9 +98,9 @@ def checked_step(rw):
     for k in (K_SUM, K_PROD):
         for c, s in rw.parents[k].items():
             assert s == parents[k].get(c, set()), (k, c)
-    # Heap ranks are ``key - (count << 65)``: one per key, never below the
-    # key's current count, and present for every repeated pair.
-    ranked = [(unpack(rank & (2**65 - 1)), -(rank >> 65)) for rank in rw.heap]
+    # Heap ranks are ``key - (count << shift)``: one per key, never below
+    # the key's current count, and present for every repeated pair.
+    ranked = [(unpack(rank & (2**rw.shift - 1), rw.bits), -(rank >> rw.shift)) for rank in rw.heap]
     counts = dict(ranked)
     assert len(counts) == len(ranked)
     for key, n in counts.items():
@@ -115,24 +122,50 @@ def eliminate_checked(rw) -> list[tuple]:
     return keys
 
 
-def test_random_expressions_and_orders():
+def random_cases():
+    """300 random expressions, two random effective orders each."""
     rng = np.random.default_rng(31)
     for _ in range(300):
         e = random_expression(
             rng, n_vars=int(rng.integers(1, 7)), max_terms=int(rng.integers(2, 15))
         )
         for _ in range(2):
-            order = effective_order(random_scheme(rng, e))
-            eliminate_checked(DeltaScorer(e).build(order))
+            yield e, effective_order(random_scheme(rng, e))
+
+
+def test_random_expressions_and_orders():
+    for e, order in random_cases():
+        eliminate_checked(DeltaScorer(e).build(order))
+
+
+def pinned_expr(name):
+    return resultant_expr(4, 3) if name == "res(4,3)" else preset_expr(name)
 
 
 @pytest.mark.parametrize("name", ["res(4,3)", "hep-like-15"])
 def test_pinned_workloads(name):
-    e = resultant_expr(4, 3) if name == "res(4,3)" else preset_expr(name)
+    e = pinned_expr(name)
     vs = variables(e)
     rng = np.random.default_rng(11)
     for order in (tuple(vs), tuple(int(a) for a in rng.permutation(vs))):
         assert eliminate_checked(DeltaScorer(e).build(order))
+
+
+def test_ids_fit_the_packed_width():
+    # A count is at most the number of add/mul nodes, so bounding that
+    # after ``run`` bounds every count the heap ever ranked.
+    rng = np.random.default_rng(11)
+    cases = list(random_cases())
+    for name in ("res(4,3)", "hep-like-15", "hep-like-22"):
+        e = pinned_expr(name)
+        vs = variables(e)
+        cases += [(e, tuple(vs)), (e, tuple(int(a) for a in rng.permutation(vs)))]
+    for e, order in cases:
+        rw = DeltaScorer(e).build(order)
+        rw.run()
+        assert rw.shift == 2 * rw.bits + 1
+        assert len(rw.kinds) <= 1 << rw.bits
+        assert sum(k in (K_SUM, K_PROD) for k in rw.kinds) < 1 << rw.bits
 
 
 def test_extraction_reuses_an_existing_pair_node():

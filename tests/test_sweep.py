@@ -121,6 +121,10 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             small_config(samples=0)
 
+    def test_negative_base_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="^base_seed must be >= 0$"):
+            small_config(base_seed=-1)
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_is_rejected(self, jobs):
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
