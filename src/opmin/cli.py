@@ -3,8 +3,12 @@
 Subcommands: simplify, search, sweep, bruteforce, generate, analyze.
 Exit codes: 0 success; 1 malformed command line; 2 bad input or argument
 value (unreadable or unparsable file, unknown scheme atom, a
-number out of range such as --n-updates 0 or --jobs 0, a malformed sweep
-CSV); 3 the self-check failed: the DAG that simplify reports, or the DAG
+number out of range such as --n-updates 0 or --jobs 0, a sweep --out
+that cannot be opened, which fails before any run, a malformed sweep
+CSV: a row with the wrong field count, a cell of the wrong type, a cp
+that is not positive and finite, an unknown criterion or direction, a
+negative operation count, or ops_total other than ops_mul + ops_add); 3
+the self-check failed: the DAG that simplify reports, or the DAG
 of the best scheme of search or bruteforce, does not evaluate like the
 input at 3 seeded points modulo 2^61-1, and nothing is printed to
 standard output; 141, silently, when standard output is closed early
@@ -268,8 +272,10 @@ def cmd_sweep(args) -> int:
         criterion=Criterion(args.criterion),
         base_seed=args.seed,
     )
-    rows = run_sweep(e, config, jobs=args.jobs)
+    # Open the output first: a path that cannot be written fails at once,
+    # not after the sweep.
     with _output(args.out) as out:
+        rows = run_sweep(e, config, jobs=args.jobs)
         if args.format == "json":
             json.dump([asdict(row) for row in rows], out, indent=2)
             out.write("\n")

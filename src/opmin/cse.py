@@ -36,6 +36,10 @@ garbage collector tracks. Reference path: ``apply_scheme``, ``build_dag``,
 Horner level and fail on deep input. Both paths intern nodes in the same
 order, so they give the same arena, DAG and count; the tests check this
 node for node on random inputs.
+
+Neither path makes a node that no root reaches (``Dag`` gives the proof),
+so a count is one pass over the node table, one weight per node, with no
+walk of the graph.
 """
 
 from __future__ import annotations
@@ -60,6 +64,22 @@ class Dag:
     ``args[i]`` is a sorted child-id tuple for add/mul nodes, ``(base, exp)``
     for pow, ``(atom_id,)`` for var and ``(value,)`` for const. Completed
     instances are immutable and safe to share.
+
+    Every node is reachable from a root, so ``dag_op_count``,
+    ``eval_dag_mod_p`` and ``dag_listing`` each take the table as a whole.
+    No path makes a dead node:
+
+    - ``build_dag`` interns only what ``visit`` reaches from the tree's root.
+    - ``DeltaScorer.build`` interns a node only to place its id under a
+      parent or to return it as the root. A factor's var node sits under
+      its pow node; ``pair`` and ``monomial`` use every id they intern; open
+      nodes pass their ids up through ``parts``; the empty expression is
+      one const root.
+    - An extraction keeps every node reachable (``_Rewriter``, property 6).
+    - ``compact`` emits only the nodes it reaches from the roots.
+
+    A hand-built ``Dag`` with a dead node is counted whole; no path in the
+    program builds one, so nothing checks for it.
     """
 
     __slots__ = ("kinds", "args", "roots")
@@ -191,6 +211,11 @@ class _Rewriter:
        holds p then, so each such pair is new. A later gain would need a
        later extraction whose p is c or p, which the nodes holding the
        pair already hold, against 1 and 2.
+    6. Every node stays reachable from a root. The arena starts that way
+       (``Dag``). An extraction changes no child list but the targets':
+       each target keeps its own parents, a and b sit under p, and an
+       appended p has the targets, two or more, as its parents. So
+       ``live_op_count`` counts every node once in one pass, with no walk.
 
     Every parent set stays complete. ``__init__`` fills each one from all
     nodes of its kind. A rewrite changes no child of any node but a, b and
@@ -347,15 +372,20 @@ class _Rewriter:
             self.extract(key)
 
     def live_op_count(self) -> tuple[int, int]:
-        """(mul, add) over nodes reachable from the roots."""
-        return _op_count(self.kinds, self.args, self.roots)
+        """(mul, add) with one weight of 1 per node: each node counted once.
+
+        By property 6 every node is reachable from a root, so this is the
+        count of the shared DAG, taken in one pass over the node table.
+        """
+        return _cost(self.kinds, self.args, repeat(1))
 
     def occurrence_op_count(self) -> tuple[int, int]:
         """(mul, add) of the tree this arena unfolds to: no sharing.
 
-        A node counts once per path from a root, as ``tree_op_count`` counts
-        the Horner tree. Valid before ``run`` only, while every child id is
-        below the ids of the nodes that hold it.
+        A node's weight is its number of paths from a root, so it counts
+        once per occurrence, as ``tree_op_count`` counts the Horner tree.
+        Valid before ``run`` only, while every child id is below the ids of
+        the nodes that hold it.
         """
         kinds, args = self.kinds, self.args
         mult = [0] * len(kinds)
@@ -363,46 +393,43 @@ class _Rewriter:
             mult[r] += 1
         for i in range(len(kinds) - 1, -1, -1):
             m = mult[i]
-            if m:
-                k = kinds[i]
-                if k in _AC:
-                    for c in args[i]:
-                        mult[c] += m
-                elif k == K_POW:
-                    mult[args[i][0]] += m
-        return _cost(kinds, args, {i: m for i, m in enumerate(mult) if m})
+            k = kinds[i]
+            if k in _AC:
+                for c in args[i]:
+                    mult[c] += m
+            elif k == K_POW:
+                mult[args[i][0]] += m
+        return _cost(kinds, args, mult)
 
     def compact(self) -> Dag:
-        """Rebuild reachable nodes in topological order with fresh ids.
+        """Renumber the nodes in depth-first post-order from the roots.
 
-        Arena nodes are distinct and the remapping is one-to-one, so the
-        rebuilt nodes are distinct without re-interning.
+        Post-order puts every child before its parents, so it is
+        topological. Arena nodes are distinct and the remapping is
+        one-to-one, so the rebuilt nodes are distinct without re-interning.
         """
         kinds, args = [], []
         remap: dict[int, int] = {}
-        for root in self.roots:
-            stack = [(root, False)]
-            while stack:
-                i, ready = stack.pop()
-                if not ready and i in remap:
-                    continue
-                k, arg = self.kinds[i], self.args[i]
-                if not ready and k in _AC:
-                    stack.append((i, True))
-                    for c in reversed(arg):
-                        stack.append((c, False))
-                    continue
-                if not ready and k == K_POW:
-                    stack.append((i, True))
-                    stack.append((arg[0], False))
-                    continue
-                if k in _AC:
-                    arg = tuple(sorted(remap[c] for c in arg))
-                elif k == K_POW:
-                    arg = (remap[arg[0]], arg[1])
-                remap[i] = len(kinds)
-                kinds.append(k)
-                args.append(arg)
+        # A node is pushed, then pushed again as ready above its children;
+        # the graph is acyclic, so a ready node is never already renumbered.
+        stack = [(r, False) for r in reversed(self.roots)]
+        while stack:
+            i, ready = stack.pop()
+            if i in remap:
+                continue
+            k, arg = self.kinds[i], self.args[i]
+            children = arg if k in _AC else arg[:1] if k == K_POW else ()
+            if children and not ready:
+                stack.append((i, True))
+                stack += [(c, False) for c in reversed(children)]
+                continue
+            if k in _AC:
+                arg = tuple(sorted(remap[c] for c in arg))
+            elif k == K_POW:
+                arg = (remap[arg[0]], arg[1])
+            remap[i] = len(kinds)
+            kinds.append(k)
+            args.append(arg)
         return Dag(kinds, args, [remap[r] for r in self.roots])
 
 
@@ -412,74 +439,56 @@ class _Rewriter:
 
 
 def dag_op_count(d: Dag) -> OpCount:
-    """Operation count with every shared node counted exactly once."""
-    mul, add = _op_count(d.kinds, d.args, d.roots)
-    return OpCount(mul=mul, add=add)
+    """Operation count with every node counted once: one weight of 1 per node.
+
+    Every node of a ``Dag`` is reachable from a root, so this counts each
+    shared subexpression exactly once.
+    """
+    return OpCount(*_cost(d.kinds, d.args, repeat(1)))
 
 
-def _op_count(kinds, args, roots) -> tuple[int, int]:
-    """(mul, add) over the nodes reachable from *roots*, each counted once."""
-    seen: set[int] = set()
-    stack = list(roots)
-    while stack:
-        i = stack.pop()
-        if i in seen:
-            continue
-        seen.add(i)
-        k = kinds[i]
-        if k in _AC:
-            stack.extend(args[i])
-        elif k == K_POW:
-            stack.append(args[i][0])
-    return _cost(kinds, args, dict.fromkeys(seen, 1))
+def _cost(kinds, args, weights) -> tuple[int, int]:
+    """(mul, add) of the node table with node i counted ``weights[i]`` times.
 
-
-def _cost(kinds, args, weights: dict[int, int]) -> tuple[int, int]:
-    """(mul, add) of the nodes in *weights*, each counted weights[i] times.
-
-    Same conventions as the tree count: k-ary add/mul nodes cost k-1, a
-    power costs exp-1, and a +-1 constant factor inside a product is free.
+    *weights* is one count per node, aligned with *kinds*. Same conventions
+    as the tree count: k-ary add/mul nodes cost k-1, a power costs exp-1,
+    and a +-1 constant factor inside a product is free.
     """
     mul = add = 0
-    for i, w in weights.items():
-        k = kinds[i]
+    for k, a, w in zip(kinds, args, weights):
         if k == K_SUM:
-            add += w * (len(args[i]) - 1)
+            add += w * (len(a) - 1)
         elif k == K_PROD:
-            ch = args[i]
             free = 0
-            for c in ch:
+            for c in a:
                 if kinds[c] == K_CONST and args[c][0] in (1, -1):
                     free += 1
-            mul += w * (len(ch) - 1 - free)
+            mul += w * (len(a) - 1 - free)
         elif k == K_POW:
-            mul += w * (args[i][1] - 1)
+            mul += w * (a[1] - 1)
     return mul, add
 
 
 def eval_dag_mod_p(d: Dag, assignment: dict[int, int], p: int) -> int:
     """Memoized bottom-up evaluation; must agree with the source expression."""
     vals = [0] * d.node_count
-    for i in range(d.node_count):
-        k = d.kinds[i]
+    for i, (k, a) in enumerate(zip(d.kinds, d.args)):
         if k == K_VAR:
-            a = d.args[i][0]
-            if a not in assignment:
-                raise ValueError(f"no assignment for atom id {a}")
-            vals[i] = assignment[a] % p
+            if a[0] not in assignment:
+                raise ValueError(f"no assignment for atom id {a[0]}")
+            vals[i] = assignment[a[0]] % p
         elif k == K_CONST:
-            vals[i] = d.args[i][0] % p
+            vals[i] = a[0] % p
         elif k == K_POW:
-            b, e = d.args[i]
-            vals[i] = pow(vals[b], e, p)
+            vals[i] = pow(vals[a[0]], a[1], p)
         elif k == K_PROD:
             v = 1
-            for c in d.args[i]:
+            for c in a:
                 v = v * vals[c] % p
             vals[i] = v
         else:
             v = 0
-            for c in d.args[i]:
+            for c in a:
                 v = (v + vals[c]) % p
             vals[i] = v
     return vals[d.roots[0]]

@@ -80,6 +80,8 @@ class SweepRow:
 
 CSV_HEADER = [f.name for f in fields(SweepRow)]
 _CELL_TYPES = typing.get_type_hints(SweepRow)  # column -> int, float or str
+# column -> the texts its cells may hold
+_LABELS = {"criterion": [c.value for c in Criterion], "direction": [d.value for d in Direction]}
 
 
 def sample_cps(config: SweepConfig) -> list[float]:
@@ -255,7 +257,13 @@ def write_csv(rows, fh) -> None:
 
 
 def read_csv(fh) -> list[SweepRow]:
-    """Rows of a sweep CSV; ValueError, naming the line, on a malformed one."""
+    """Rows of a sweep CSV; ValueError, naming the line, on a malformed one.
+
+    A row is malformed when it has the wrong number of fields, a cell of the
+    wrong type, a cp that is not positive and finite, a criterion or
+    direction that names no ``Criterion`` or ``Direction``, a negative
+    operation count, or an ops_total other than ops_mul + ops_add.
+    """
     reader = csv.reader(fh)
     header = next(reader, [])
     if header != CSV_HEADER:
@@ -272,6 +280,14 @@ def read_csv(fh) -> list[SweepRow]:
             raise ValueError(f"{where}: {exc}") from None
         if not (math.isfinite(row.cp) and row.cp > 0):
             raise ValueError(f"{where}: cp must be positive and finite, got {cells['cp']}")
+        for name, values in _LABELS.items():
+            if cells[name] not in values:
+                raise ValueError(f"{where}: {name} must be one of {', '.join(values)}, got {cells[name]}")
+        for name in ("ops_total", "ops_mul", "ops_add"):
+            if getattr(row, name) < 0:
+                raise ValueError(f"{where}: {name} must be >= 0, got {cells[name]}")
+        if row.ops_total != row.ops_mul + row.ops_add:
+            raise ValueError(f"{where}: ops_total {row.ops_total} is not ops_mul plus ops_add")
         rows.append(row)
     return rows
 

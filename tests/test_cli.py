@@ -109,8 +109,9 @@ class TestExitCodes:
             ('1,nan,uct,5,forward,1,9,5,4,"x,y"', "cp must be positive and finite, got nan"),
             ('1,inf,uct,5,forward,1,9,5,4,"x,y"', "cp must be positive and finite, got inf"),
             ('1,-2,uct,5,forward,1,9,5,4,"x,y"', "cp must be positive and finite, got -2"),
+            ('1,0.7,banana,5,forward,1,-5,5,4,"x,y"', "criterion must be one of uct, sa-uct, got banana"),
         ],
-        ids=["short-row", "nan-cp", "inf-cp", "negative-cp"],
+        ids=["short-row", "nan-cp", "inf-cp", "negative-cp", "impossible-row"],
     )
     def test_malformed_sweep_csv_exits_2(self, capsys, tmp_path, row, message):
         header = "sample,cp,criterion,n_updates,direction,seed,ops_total,ops_mul,ops_add,scheme"
@@ -119,6 +120,19 @@ class TestExitCodes:
         code, out, err = run(capsys, "analyze", str(path))
         assert code == 2 and out == ""
         assert err == f"opmin: error: sweep CSV line 2: {message}\n"
+
+    def test_sweep_out_in_a_missing_directory_exits_2_before_running(
+        self, capsys, monkeypatch, tmp_path, worked
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("run_sweep called before --out was opened")
+
+        monkeypatch.setattr(opmin.cli, "run_sweep", must_not_run)
+        out = tmp_path / "missing" / "x.csv"
+        code, stdout, err = run(capsys, "sweep", worked, "--samples", "2", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith("opmin: error: ") and err.count("\n") == 1
+        assert not out.parent.exists()
 
     def test_empty_sweep_csv_exits_2(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"

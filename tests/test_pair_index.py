@@ -14,10 +14,12 @@ arena; every id and count must stay below ``2**bits``, and every add/mul
 child list must stay strictly increasing, also where ``extract`` appends
 a new pair node without sorting. Unlike ``test_equivalence``, whose
 reference also runs ``_Rewriter``, this catches a bug in the index or the
-heap. The rewriter does not merge nodes, so a DAG on which an extraction
-would make two nodes identical, whose add/mul child lists are not
-strictly increasing, or on which an extracted pair's node is already a
-same-kind child, must raise ValueError.
+heap. Every node must be reachable from a root, before and after ``run``
+and through both paths that make an arena, because ``live_op_count``
+counts the whole node table. The rewriter does not merge nodes, so a
+DAG on which an extraction would make two nodes identical, whose add/mul
+child lists are not strictly increasing, or on which an extracted pair's
+node is already a same-kind child, must raise ValueError.
 """
 
 import signal
@@ -27,9 +29,9 @@ import numpy as np
 import pytest
 
 from opmin.benchgen import preset_expr, resultant_expr
-from opmin.cse import K_PROD, K_SUM, K_VAR, Dag, DeltaScorer, _Rewriter, simplify
+from opmin.cse import K_POW, K_PROD, K_SUM, K_VAR, Dag, DeltaScorer, _Rewriter, build_dag, simplify
 from opmin.expr import OpCount, variables
-from opmin.horner import effective_order, occurrence_order
+from opmin.horner import Direction, Scheme, apply_scheme, effective_order, occurrence_order
 
 from test_expr import random_expression
 from test_horner import random_scheme
@@ -166,6 +168,37 @@ def test_ids_fit_the_packed_width():
         assert rw.shift == 2 * rw.bits + 1
         assert len(rw.kinds) <= 1 << rw.bits
         assert sum(k in (K_SUM, K_PROD) for k in rw.kinds) < 1 << rw.bits
+
+
+def unreachable(rw) -> set[int]:
+    """Ids of the arena's nodes that no root reaches, found by a walk."""
+    seen = set()
+    stack = list(rw.roots)
+    while stack:
+        i = stack.pop()
+        if i not in seen:
+            seen.add(i)
+            if rw.kinds[i] in (K_SUM, K_PROD):
+                stack += rw.args[i]
+            elif rw.kinds[i] == K_POW:
+                stack.append(rw.args[i][0])
+    return set(range(len(rw.kinds))) - seen
+
+
+def test_every_node_is_reachable():
+    # ``live_op_count`` counts the whole node table, which equals the
+    # count of what the roots reach only while no node is dead.
+    rng = np.random.default_rng(5)
+    cases = list(random_cases())
+    for name in ("res(4,3)", "hep-like-22"):
+        e = pinned_expr(name)
+        cases.append((e, tuple(int(a) for a in rng.permutation(variables(e)))))
+    for e, order in cases:
+        tree = apply_scheme(e, Scheme(order, Direction.FORWARD))
+        for rw in (DeltaScorer(e).build(order), _Rewriter.from_dag(build_dag(tree))):
+            assert not unreachable(rw), order
+            rw.run()
+            assert not unreachable(rw), order
 
 
 def test_extraction_reuses_an_existing_pair_node():

@@ -387,8 +387,30 @@ class TestCsv:
             ('1,inf,uct,5,forward,1,9,5,4,"x,y"', "line 3: cp must be positive and finite, got inf"),
             ('1,-0.5,uct,5,forward,1,9,5,4,"x,y"', "line 3: cp must be positive and finite"),
             ('1,0,uct,5,forward,1,9,5,4,"x,y"', "line 3: cp must be positive and finite"),
+            ('1,0.7,uct,5,forward,1,-5,5,4,"x,y"', "line 3: ops_total must be >= 0, got -5"),
+            ('1,0.7,uct,5,forward,1,10,5,4,"x,y"', "line 3: ops_total 10 is not ops_mul plus ops_add"),
+            (
+                '1,0.7,banana,5,forward,1,9,5,4,"x,y"',
+                "line 3: criterion must be one of uct, sa-uct, got banana",
+            ),
+            (
+                '1,0.7,uct,5,sideways,1,9,5,4,"x,y"',
+                "line 3: direction must be one of forward, backward, got sideways",
+            ),
         ],
-        ids=["short-row", "long-row", "bad-int", "nan-cp", "inf-cp", "negative-cp", "zero-cp"],
+        ids=[
+            "short-row",
+            "long-row",
+            "bad-int",
+            "nan-cp",
+            "inf-cp",
+            "negative-cp",
+            "zero-cp",
+            "negative-count",
+            "total-not-sum",
+            "unknown-criterion",
+            "unknown-direction",
+        ],
     )
     def test_rejects_malformed_row_naming_its_line(self, row, message):
         good = '0,0.5,uct,5,forward,0,9,5,4,"x,y"'
