@@ -7,12 +7,17 @@ number out of range such as --n-updates 0 or --jobs 0, a sweep --out
 that cannot be opened, which fails before any run, a malformed sweep
 CSV: a row with the wrong field count, a cell of the wrong type, a cp
 that is not positive and finite, an unknown criterion or direction, a
-negative operation count, or ops_total other than ops_mul + ops_add); 3
+negative sample, seed or operation count, n_updates below 1, ops_total
+other than ops_mul + ops_add, or a sample number that an earlier row
+has); 3
 the self-check failed: the DAG that simplify reports, or the DAG
 of the best scheme of search or bruteforce, does not evaluate like the
 input at 3 seeded points modulo 2^61-1, and nothing is printed to
 standard output; 141, silently, when standard output is closed early
 (``| head``).
+The contents of an existing --out file of sweep or generate are replaced
+only when the command succeeds; a failed command leaves the file as it
+was, or removes it if it did not exist.
 search, and bruteforce with --format json, print one JSON result record:
 best_total, best_mul, best_add, scheme (the order as "a,b"), direction
 ("forward" or "backward"), then criterion ("uct" or "sa-uct"), cp,
@@ -32,6 +37,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import os
 import random
@@ -111,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simplify", help="apply a scheme and report operation counts")
     p.add_argument("exprfile")
-    p.add_argument("--scheme", default="occurrence", help='"x,y" order, or "occurrence"')
+    scheme_help = '"x,y" or "x,y;backward" order (its direction overrides --direction), or "occurrence"'
+    p.add_argument("--scheme", default="occurrence", help=scheme_help)
     p.add_argument("--direction", **_DIRECTION_FLAG)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_simplify)
@@ -177,12 +184,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _output(path: str):
-    """Standard output when *path* is "-", else the file *path*, closed after use."""
+    """Standard output when *path* is "-", else a buffer for the file *path*.
+
+    The file is opened, without truncation, at once, so a path that cannot be
+    written fails before any work. It gets the buffer only when the block
+    succeeds: a regular file is then truncated and written, and anything
+    else, such as a FIFO or /dev/null, is written. If the block raises, an
+    existing file keeps its contents, and a file that did not exist is
+    removed again. The file is never replaced, so a symlink's target is
+    written and an existing file keeps its mode.
+    """
     if path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        return
+    existed = os.path.exists(path)  # False for a dangling symlink
+    with open(path, "a", encoding="utf-8", newline="") as fh:
+        buf = io.StringIO()
+        try:
+            yield buf
+        except BaseException:
+            if not existed:
+                os.unlink(os.path.realpath(path))  # a symlink stays, its new target goes
+            raise
+        if os.path.isfile(path):
+            fh.truncate(0)
+        fh.write(buf.getvalue())
 
 
 def _ops_json(c) -> dict:
@@ -273,7 +299,7 @@ def cmd_sweep(args) -> int:
         base_seed=args.seed,
     )
     # Open the output first: a path that cannot be written fails at once,
-    # not after the sweep.
+    # not after the sweep; a failed sweep leaves an existing file as it was.
     with _output(args.out) as out:
         rows = run_sweep(e, config, jobs=args.jobs)
         if args.format == "json":

@@ -107,22 +107,15 @@ def temperature(i: int, params: SearchParams) -> float:
     return params.cp * (n - i) / n
 
 
-def node_score(c: Node, naive_total: int) -> float:
-    """Normalized quality: naive ops divided by the mean playout ops.
-
-    1.0 means playouts through this node saved nothing; higher is better.
-    """
-    if c.visits < 1:
-        raise ValueError("unvisited node has no score")
-    if c.delta_sum == 0:
-        return 1.0  # degenerate zero-op expression
-    return naive_total * c.visits / c.delta_sum
-
-
 def best_child(s: Node, t: float, naive_total: int, rng) -> Node:
-    """argmax over expanded children of score + 2*t*sqrt(2*ln n(s)/n(c)).
+    """argmax over expanded children c of score(c) + 2*t*sqrt(2*ln n(s)/n(c)).
 
-    Exact value ties are broken uniformly at random.
+    score(c) = naive_total * n(c) / delta_sum(c): the naive operation count
+    over the mean playout count through c, so 1.0 means those playouts saved
+    nothing and higher is better. A child whose playouts all count 0
+    operations (delta_sum 0) scores 1.0. Every expanded child was visited
+    when it was created, so n(c) >= 1. Exact value ties are broken uniformly
+    at random.
     """
     if not s.children:
         raise ValueError("best_child on a node without expanded children")
@@ -130,7 +123,8 @@ def best_child(s: Node, t: float, naive_total: int, rng) -> Node:
     best_val = -math.inf
     best_nodes: list[Node] = []
     for c in s.children:
-        val = node_score(c, naive_total) + 2.0 * t * math.sqrt(2.0 * log_n / c.visits)
+        score = naive_total * c.visits / c.delta_sum if c.delta_sum else 1.0
+        val = score + 2.0 * t * math.sqrt(2.0 * log_n / c.visits)
         if val > best_val:
             best_val = val
             best_nodes = [c]

@@ -1,11 +1,12 @@
 """Sensitivity sweeps over the exploration constant, plus ROI analysis.
 
 A sweep runs many independent searches with log-uniformly sampled C_p
-values and emits one CSV row per run. The region of interest is the widest
-contiguous band of C_p (measured in log units over 50 bins) whose best
-observed operation count stays within (1+epsilon) of the global minimum;
-comparing this width between selection criteria quantifies how much a
-decaying temperature widens the usable C_p range.
+values and emits one CSV row per run. Its region of interest (ROI) is the
+widest contiguous band of C_p, measured in log units over ROI_BINS equal
+bins of the sampled log(C_p) range, in which every bin holds a run within
+(1+epsilon) of the sweep's minimum operation count. Comparing this width
+between selection criteria quantifies how much a decaying temperature
+widens the usable C_p range; ``analyze_rows`` reports it.
 
 ``SweepRow`` defines the schema of a sweep record in CSV and JSON: its
 fields, in order, are the CSV columns (``CSV_HEADER``) and the keys of a
@@ -82,6 +83,8 @@ CSV_HEADER = [f.name for f in fields(SweepRow)]
 _CELL_TYPES = typing.get_type_hints(SweepRow)  # column -> int, float or str
 # column -> the texts its cells may hold
 _LABELS = {"criterion": [c.value for c in Criterion], "direction": [d.value for d in Direction]}
+# column -> the least value its cells may hold
+_LEAST = {"sample": 0, "n_updates": 1, "seed": 0, "ops_total": 0, "ops_mul": 0, "ops_add": 0}
 
 
 def sample_cps(config: SweepConfig) -> list[float]:
@@ -262,13 +265,15 @@ def read_csv(fh) -> list[SweepRow]:
     A row is malformed when it has the wrong number of fields, a cell of the
     wrong type, a cp that is not positive and finite, a criterion or
     direction that names no ``Criterion`` or ``Direction``, a negative
-    operation count, or an ops_total other than ops_mul + ops_add.
+    sample, seed or operation count, an n_updates below 1, an ops_total
+    other than ops_mul + ops_add, or a sample that an earlier row has.
     """
     reader = csv.reader(fh)
     header = next(reader, [])
     if header != CSV_HEADER:
         raise ValueError(f"unexpected sweep CSV header: {header}")
     rows = []
+    first_line: dict[int, int] = {}  # sample -> the line that has it
     for rec in reader:
         where = f"sweep CSV line {reader.line_num}"
         if len(rec) != len(CSV_HEADER):
@@ -283,11 +288,14 @@ def read_csv(fh) -> list[SweepRow]:
         for name, values in _LABELS.items():
             if cells[name] not in values:
                 raise ValueError(f"{where}: {name} must be one of {', '.join(values)}, got {cells[name]}")
-        for name in ("ops_total", "ops_mul", "ops_add"):
-            if getattr(row, name) < 0:
-                raise ValueError(f"{where}: {name} must be >= 0, got {cells[name]}")
+        for name, least in _LEAST.items():
+            if getattr(row, name) < least:
+                raise ValueError(f"{where}: {name} must be >= {least}, got {cells[name]}")
         if row.ops_total != row.ops_mul + row.ops_add:
             raise ValueError(f"{where}: ops_total {row.ops_total} is not ops_mul plus ops_add")
+        if row.sample in first_line:
+            raise ValueError(f"{where}: sample {row.sample} is already on line {first_line[row.sample]}")
+        first_line[row.sample] = reader.line_num
         rows.append(row)
     return rows
 
@@ -297,67 +305,48 @@ def read_csv(fh) -> list[SweepRow]:
 # ---------------------------------------------------------------------------
 
 
-def per_bin_minima(rows):
-    """Minimum ops_total per log(cp) bin (None where a bin has no samples).
+def analyze_rows(rows, epsilon: float = DEFAULT_EPSILON) -> dict:
+    """Summary record for one sweep: global best and region of interest.
 
-    Returns (minima, log_lo, bin_width).
+    The rows' log(cp) range [lo, hi] is cut into ROI_BINS bins of width
+    w = (hi - lo) / ROI_BINS; a row falls in bin min(int((log cp - lo) / w),
+    ROI_BINS - 1), or in bin 0 when all cp values are equal (w = 0). A bin is
+    good when one of its rows has ops_total at most (1+epsilon) times the
+    global minimum, so an empty bin is not good. The ROI is the longest run
+    of consecutive good bins, the first of equally long runs; its log width is
+    the run's length times w, and its C_p interval is None when w = 0. Raises
+    ValueError for an epsilon that is not positive and finite, or for no rows.
     """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
     if not rows:
         raise ValueError("no sweep rows")
     logs = [math.log(r.cp) for r in rows]
     lo, hi = min(logs), max(logs)
     width = (hi - lo) / ROI_BINS if hi > lo else 0.0
-    minima: list[int | None] = [None] * ROI_BINS
+    global_min = min(r.ops_total for r in rows)
+    threshold = (1.0 + epsilon) * global_min
+    good = [False] * ROI_BINS
     for r, lg in zip(rows, logs):
-        if width == 0.0:
-            idx = 0
-        else:
-            idx = min(int((lg - lo) / width), ROI_BINS - 1)
-        cur = minima[idx]
-        if cur is None or r.ops_total < cur:
-            minima[idx] = r.ops_total
-    return minima, lo, width
-
-
-def _roi(rows, epsilon: float):
-    """(log width, C_p interval, bin log width) of the longest good-bin run.
-
-    A bin is good when it has samples and its minimum ops_total is within
-    (1+epsilon) of the global minimum; the first of equally long runs wins.
-    The interval is None for a degenerate C_p range.
-    """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be positive and finite")
-    minima, lo, width = per_bin_minima(rows)
-    threshold = (1.0 + epsilon) * min(m for m in minima if m is not None)
+        if r.ops_total <= threshold:
+            idx = min(int((lg - lo) / width), ROI_BINS - 1) if width else 0
+            good[idx] = True
+    # The global minimum's bin is good, so the longest run has a bin or more.
     best_len = best_start = run = 0
-    for i, m in enumerate(minima):
-        if m is not None and m <= threshold:
-            run += 1
-            if run > best_len:
-                best_len, best_start = run, i + 1 - run
-        else:
-            run = 0
-    interval = None
-    if width != 0.0 and best_len:
-        interval = (
-            math.exp(lo + best_start * width),
-            math.exp(lo + (best_start + best_len) * width),
-        )
-    return best_len * width, interval, width
-
-
-def analyze_rows(rows, epsilon: float = DEFAULT_EPSILON) -> dict:
-    """Summary record for one sweep: global best and region of interest."""
-    log_width, interval, width = _roi(rows, epsilon)
+    for i, g in enumerate(good):
+        run = run + 1 if g else 0
+        if run > best_len:
+            best_len, best_start = run, i + 1 - run
+    ends = (best_start, best_start + best_len)
+    interval = [math.exp(lo + k * width) for k in ends] if width else None
     return {
         "samples": len(rows),
         "cp_min": min(r.cp for r in rows),
         "cp_max": max(r.cp for r in rows),
-        "global_min_ops": min(r.ops_total for r in rows),
+        "global_min_ops": global_min,
         "epsilon": epsilon,
         "bins": ROI_BINS,
         "bin_log_width": width,
-        "roi_log_width": log_width,
-        "roi_cp_interval": list(interval) if interval else None,
+        "roi_log_width": best_len * width,
+        "roi_cp_interval": interval,
     }

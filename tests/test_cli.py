@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -347,6 +348,57 @@ def test_out_dash_is_stdout(capsys, tmp_path, worked, argv):
     assert main([*argv, "--out", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert path.read_bytes() == out.encode()
+
+
+class TestSweepOut:
+    ARGV = ["--samples", "3", "--n-updates", "5"]
+
+    def rows(self, capsys, worked) -> str:
+        code, out, _ = run(capsys, "sweep", worked, *self.ARGV)
+        assert code == 0
+        return out
+
+    def test_failed_sweep_keeps_an_existing_file(self, capsys, tmp_path, worked):
+        keep = tmp_path / "keep.csv"
+        keep.write_text("keep\n")
+        code, out, err = run(capsys, "sweep", worked, *self.ARGV, "--jobs", "0", "--out", str(keep))
+        assert code == 2 and out == ""
+        assert err == "opmin: error: jobs must be >= 1, got 0\n"
+        assert keep.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("dangling", [False, True], ids=["new-file", "dangling-symlink"])
+    def test_failed_sweep_leaves_no_new_file(self, capsys, tmp_path, worked, dangling):
+        out = tmp_path / "out.csv"
+        if dangling:
+            out.symlink_to(tmp_path / "target.csv")
+        before = sorted(tmp_path.iterdir())
+        code, _, _ = run(capsys, "sweep", worked, *self.ARGV, "--jobs", "0", "--out", str(out))
+        assert code == 2
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_sweep_replaces_a_longer_file_and_keeps_its_mode(self, capsys, tmp_path, worked):
+        rows = self.rows(capsys, worked)
+        path = tmp_path / "old.csv"
+        path.write_text("x" * 10 * len(rows))
+        path.chmod(0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(path)
+        assert main(["sweep", worked, *self.ARGV, "--out", str(link)]) == 0
+        assert path.read_text() == rows
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert link.is_symlink()
+
+    def test_fifo_receives_the_rows(self, capsys, tmp_path, worked):
+        rows = self.rows(capsys, worked)
+        fifo = tmp_path / "rows.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(["sweep", worked, *self.ARGV, "--out", str(fifo)]) == 0
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert got == [rows]
 
 
 def test_help_lists_the_sweep_columns_and_analyze_keys():

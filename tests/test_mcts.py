@@ -17,7 +17,6 @@ from opmin.mcts import (
     SearchState,
     best_child,
     brute_force_search,
-    node_score,
     run_iteration,
     search,
     temperature,
@@ -87,27 +86,35 @@ def make_node(visits, delta_sum, atom=0):
     return n
 
 
-class TestNodeScore:
-    def test_direct_substitution(self):
-        assert node_score(make_node(4, 200), 100) == 2.0
-
-    def test_unoptimized_playouts_score_one(self):
-        assert node_score(make_node(7, 7 * 50), 50) == 1.0
-
-    def test_single_playout(self):
-        assert node_score(make_node(1, 50), 100) == 2.0
-
-    def test_unvisited_rejected(self):
-        with pytest.raises(ValueError):
-            node_score(make_node(0, 0), 100)
-
-
 class TestBestChild:
     def rig(self, children, visits):
         s = Node(None, [])
         s.visits = visits
         s.children = children
         return s
+
+    @pytest.mark.parametrize(
+        "win, lose",
+        [
+            ((4, 200), (4, 201)),  # naive 100: score 100*4/200 = 2.0 against 1.99
+            ((4, 200), (1, 51)),  # 2.0 against 1.96; without the visits, 0.5 against 1.96
+            ((1, 50), (2, 101)),  # a single playout: 2.0 against 1.98
+        ],
+        ids=["direct-substitution", "visits-scale-the-score", "single-playout"],
+    )
+    def test_score_is_naive_over_mean_playout_ops(self, win, lose):
+        c_win, c_lose = make_node(*win), make_node(*lose)
+        s = self.rig([c_lose, c_win], 8)
+        assert best_child(s, 0.0, 100, np.random.default_rng(0)) is c_win
+
+    def test_saved_nothing_and_zero_op_children_score_one(self):
+        naive = 50
+        saved_nothing = make_node(7, 7 * 50)  # every playout counted the naive 50
+        zero_op = make_node(3, 0)  # delta_sum 0
+        worse = make_node(3, 151)  # 50*3/151 < 1.0
+        s = self.rig([worse, saved_nothing, zero_op], 13)
+        picks = {id(best_child(s, 0.0, naive, np.random.default_rng(seed))) for seed in range(20)}
+        assert picks == {id(saved_nothing), id(zero_op)}
 
     def test_zero_temperature_is_pure_exploitation(self):
         naive = 120

@@ -24,7 +24,6 @@ from opmin.sweep import (
     SweepConfig,
     SweepRow,
     analyze_rows,
-    per_bin_minima,
     read_csv,
     run_sweep,
     sample_cps,
@@ -397,6 +396,10 @@ class TestCsv:
                 '1,0.7,uct,5,sideways,1,9,5,4,"x,y"',
                 "line 3: direction must be one of forward, backward, got sideways",
             ),
+            ('-4,0.7,uct,5,forward,1,9,5,4,"x,y"', "line 3: sample must be >= 0, got -4"),
+            ('1,0.7,uct,5,forward,-3,9,5,4,"x,y"', "line 3: seed must be >= 0, got -3"),
+            ('1,0.7,uct,0,forward,1,9,5,4,"x,y"', "line 3: n_updates must be >= 1, got 0"),
+            ('0,0.7,uct,5,forward,1,9,5,4,"x,y"', "line 3: sample 0 is already on line 2"),
         ],
         ids=[
             "short-row",
@@ -410,6 +413,10 @@ class TestCsv:
             "total-not-sum",
             "unknown-criterion",
             "unknown-direction",
+            "negative-sample",
+            "negative-seed",
+            "zero-updates",
+            "repeated-sample",
         ],
     )
     def test_rejects_malformed_row_naming_its_line(self, row, message):
@@ -477,11 +484,12 @@ class TestRoi:
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             analyze_rows(synthetic_rows([1.0, 2.0], [5, 3]), epsilon)
 
-    def test_per_bin_minima_degenerate_range(self):
-        rows = synthetic_rows([1.0, 1.0], [5, 3])
-        minima, lo, width = per_bin_minima(rows)
-        assert width == 0.0
-        assert minima[0] == 3
+    def test_degenerate_range(self):
+        rep = analyze_rows(synthetic_rows([1.0, 1.0], [5, 3]))
+        assert rep["bin_log_width"] == 0.0
+        assert rep["global_min_ops"] == 3
+        assert rep["roi_log_width"] == 0.0
+        assert rep["roi_cp_interval"] is None
 
     def test_analyze_report(self):
         cps = [math.exp(i / 49 * 5.0) for i in range(50)]
