@@ -25,8 +25,12 @@ outside it.
 
 Production path: ``DeltaScorer.build`` interns the Horner form straight
 into a rewriter arena, then ``run`` and a count; ``simplify`` also returns
-the compacted DAG, and ``DeltaScorer.delta`` (the search's playout score)
-caches the count per order. The build walks term-index lists over
+the compacted DAG. ``DeltaScorer.delta`` (the search's playout score)
+caches the count per order, and also per decision trace of the build: the
+split and factor choices through which alone the order reaches the arena.
+An order whose build makes the decisions of an earlier one gets that
+arena, node for node, so its count is looked up, not eliminated again;
+``DeltaScorer`` gives the proof. The build walks term-index lists over
 per-variable exponent columns without recursion, so Horner depth is
 bounded by memory only; it closes levels of one or two terms, the most
 common ones, in one pass, and memoizes leaf ids. Add/mul args are tuples,
@@ -44,6 +48,7 @@ walk of the graph.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
@@ -521,9 +526,42 @@ class DeltaScorer:
     """Horner builds and memoized scores for one fixed expression.
 
     Terms are stored once, as a coefficient list and one exponent column per
-    variable of ``variables(e)``, both indexed by term. Counts are cached
-    per effective order, so re-scoring a revisited path is a dictionary
-    lookup.
+    variable of ``variables(e)``, both indexed by term.
+
+    ``delta`` keeps two caches of (mul, add). ``cache`` maps an effective
+    order to its count, so re-scoring a revisited path is a dictionary
+    lookup; sweep workers relay its entries. ``_by_trace`` maps the
+    decision trace of a build to its count and stays in its process. On an
+    order miss ``delta`` builds the arena and its trace, and only a trace
+    miss runs ``_Rewriter`` set-up, the elimination and the count. Many
+    orders share a trace: the 5040 orders of res(3,2) make 828.
+
+    The trace fixes the arena. The build walks its levels depth first, and
+    a level is its term list ``ts`` and ``sub``; whether it is one term, a
+    ``pair`` or a ``horner`` level follows from its size. The order acts
+    only through these decisions, each recorded as trace entries:
+
+    - A ``horner`` level splits on the first variable in scan order that
+      two or more of its terms hold beyond ``sub``, or is flat when none
+      does. Given that variable (or the end marker), ``rest``, ``with_v``,
+      the factor exponent and both sub-levels follow from the level alone.
+      The scan position ``j`` only bounds which variables later decisions
+      can pick, and those picks are entries of their own.
+    - A ``pair`` level factors out every variable both terms hold beyond
+      ``sub``, in scan order. Those variables in that order, then the end
+      marker, fix its factors, their interning order and the cofactors.
+    - ``monomial`` walks a term's exponents in atom-id order, and
+      ``factor`` and ``const`` memoize by variable position and by
+      coefficient, so neither depends on the order.
+
+    By induction over the walk, equal traces visit the same levels in the
+    same sequence and make the same ``intern`` calls, so they give the same
+    arena; ``run`` and ``live_op_count`` depend on the arena alone. The
+    converse fails: two traces can give one arena, which is then
+    eliminated once per trace. Entries are variable positions with
+    ``len(var_ids)`` as the end marker, stored in one, two or eight bytes
+    each, as that marker needs, so the number of variables is not capped.
+    A trace is kept as bytes, which the garbage collector does not track.
     """
 
     def __init__(self, e: Expression):
@@ -536,6 +574,10 @@ class DeltaScorer:
             for a, exp in t.exponents:
                 self._cols[self._pos[a]][i] = exp
         self.cache: dict[tuple[int, ...], tuple[int, int]] = {}
+        self._by_trace: dict[bytes, tuple[int, int]] = {}
+        # Trace entries are variable positions and the end marker n.
+        n = len(self.var_ids)
+        self._trace_code = "B" if n < 1 << 8 else "H" if n < 1 << 16 else "Q"
 
     def delta(self, order: tuple[int, ...]) -> tuple[int, int]:
         """(mul, add) after Horner with this effective order plus elimination.
@@ -544,13 +586,22 @@ class DeltaScorer:
         """
         hit = self.cache.get(order)
         if hit is None:
-            rw = self.build(order)
-            rw.run()
-            hit = self.cache[order] = rw.live_op_count()
+            kinds, args, roots, trace = self._arena(order)
+            hit = self._by_trace.get(trace)
+            if hit is None:
+                rw = _Rewriter(kinds, args, roots)
+                rw.run()
+                hit = self._by_trace[trace] = rw.live_op_count()
+            self.cache[order] = hit
         return hit
 
     def build(self, order: tuple[int, ...]) -> _Rewriter:
-        """Arena of the Horner form for this effective order, before elimination.
+        """Arena of the Horner form for this effective order, before elimination."""
+        kinds, args, roots, _ = self._arena(order)
+        return _Rewriter(kinds, args, roots)
+
+    def _arena(self, order: tuple[int, ...]) -> tuple[list, list, list, bytes]:
+        """``(kinds, args, roots, trace)`` of the Horner form for *order*.
 
         Same nodes and ids as ``build_dag(apply_scheme(...))``. A Horner
         level is a list of term indices plus ``sub``, the exponent already
@@ -577,10 +628,20 @@ class DeltaScorer:
         goes through ``intern``, so ids do not change. ``monomial`` walks
         only the term's own exponents, which are sorted by atom id like
         ``var_ids``.
+
+        The trace holds one entry per decision the order makes, in build
+        order, as variable positions with ``end = len(cols)`` as the end
+        marker: each level of three or more terms appends the variable it
+        splits on, or ``end`` when it is flat; each ``pair`` level appends
+        the variables it factors out, in scan order, then ``end``.
+        ``DeltaScorer`` gives the proof that the trace fixes the arena.
         """
         var_ids, coeffs, cols, exps = self.var_ids, self._coeffs, self._cols, self._exps
         pos = self._pos
         vs = tuple(pos[a] for a in order)
+        trace = array(self._trace_code)
+        record = trace.append
+        end = len(cols)
         kinds: list[int] = []
         args: list[tuple] = []
         index: dict = {}
@@ -643,11 +704,13 @@ class DeltaScorer:
                 x2 = col[t2]
                 if x1 > s and x2 > s:
                     e = (x1 if x1 < x2 else x2) - s
+                    record(v)
                     fs.append(factor(v, e))
                     if not copied:
                         sub = sub.copy()
                         copied = True
                     sub[v] += e
+            record(end)
             m1 = monomial(t1, sub)
             m2 = monomial(t2, sub)
             if not fs:
@@ -664,6 +727,7 @@ class DeltaScorer:
                 with_v = [t for t in ts if col[t] > s]
                 if len(with_v) < 2:
                     continue
+                record(v)
                 rest = [t for t in ts if col[t] == s]
                 # Interning order follows the tree walk: the variable-free
                 # addend first, then the extracted factor, then the quotient.
@@ -677,11 +741,12 @@ class DeltaScorer:
                     return K_PROD, prod
                 addends.append(close(K_PROD, prod))
                 return K_SUM, addends
+            record(end)
             return K_SUM, [monomial(t, sub) for t in ts]
 
         n = len(coeffs)
         if not n:
-            return _Rewriter(kinds, args, [intern(K_CONST, (0,))])
+            return kinds, args, [intern(K_CONST, (0,))], b""
         # Levels of one or two terms are closed at once; larger ones are
         # generators on the stack.
         stack = []
@@ -702,7 +767,7 @@ class DeltaScorer:
                     stack.pop()
                     val = done.value
             else:
-                return _Rewriter(kinds, args, [close(*val)])
+                return kinds, args, [close(*val)], trace.tobytes()
 
 
 def simplify(e: Expression, s: Scheme) -> SimplifyResult:

@@ -104,7 +104,9 @@ def temperature(i: int, params: SearchParams) -> float:
     if params.criterion is Criterion.UCT:
         return params.cp
     n = params.n_updates
-    return params.cp * (n - i) / n
+    t = params.cp * (n - i)
+    # Past the float range the product is inf while cp*(N-i)/N is not.
+    return t / n if t != math.inf else params.cp * ((n - i) / n)
 
 
 def best_child(s: Node, t: float, naive_total: int, rng) -> Node:
@@ -124,7 +126,8 @@ def best_child(s: Node, t: float, naive_total: int, rng) -> Node:
     best_nodes: list[Node] = []
     for c in s.children:
         score = naive_total * c.visits / c.delta_sum if c.delta_sum else 1.0
-        val = score + 2.0 * t * math.sqrt(2.0 * log_n / c.visits)
+        # 2.0 * t would overflow at a huge t and make 0 * inf NaN at n(s) = 1.
+        val = score + t * (2.0 * math.sqrt(2.0 * log_n / c.visits))
         if val > best_val:
             best_val = val
             best_nodes = [c]

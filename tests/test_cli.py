@@ -86,6 +86,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"opmin: error: {message}\n"
 
+    def test_huge_cp_on_one_variable_exits_0(self, capsys, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("x^2 + 3*x + x^3\n")
+        code, out, err = run(capsys, "search", str(path), "--n-updates", "3", "--cp", "1e308")
+        assert code == 0 and err == ""
+        assert json.loads(out)["best_total"] == 4
+
     def test_generate_random_negative_seed_exits_2(self, capsys):
         argv = ["generate", "random", "--vars", "2", "--terms", "3", "--seed", "-1"]
         code, out, err = run(capsys, *argv)

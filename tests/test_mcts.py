@@ -72,6 +72,11 @@ class TestTemperature:
         with pytest.raises(ValueError, match="^seed must be >= 0$"):
             params(seed=-1)
 
+    def test_huge_cp_stays_finite(self):
+        # cp * (N - i) overflows; cp * (N - i) / N does not.
+        p = params(cp=1e308, n_updates=3)
+        assert [temperature(i, p) for i in range(4)] == [1e308, 1e308 * (2 / 3), 1e308 / 3, 0.0]
+
     def test_nonincreasing(self):
         for criterion in Criterion:
             p = params(cp=2.0, n_updates=200, criterion=criterion)
@@ -115,6 +120,12 @@ class TestBestChild:
         s = self.rig([worse, saved_nothing, zero_op], 13)
         picks = {id(best_child(s, 0.0, naive, np.random.default_rng(seed))) for seed in range(20)}
         assert picks == {id(saved_nothing), id(zero_op)}
+
+    def test_huge_temperature_at_a_node_visited_once(self):
+        # ln n(s) = 0, so the exploration term is 0 even at the largest t.
+        child = make_node(1, 4)
+        s = self.rig([child], 1)
+        assert best_child(s, 1.7e308, 6, np.random.default_rng(0)) is child
 
     def test_zero_temperature_is_pure_exploitation(self):
         naive = 120
@@ -223,6 +234,12 @@ class TestSearch:
         for criterion in Criterion:
             res = search(e, params(n_updates=40, criterion=criterion, seed=3))
             assert res.best_delta.total == 6
+
+    @pytest.mark.parametrize("criterion", list(Criterion), ids=lambda c: c.value)
+    def test_huge_cp_on_one_variable(self, criterion):
+        e = parse("x^2 + 3*x + x^3")
+        res = search(e, params(cp=1e308, n_updates=3, criterion=criterion))
+        assert res.best_delta == OpCount(mul=2, add=2)
 
     def test_single_update_equals_single_playout(self):
         e = five_var_expr()
