@@ -26,20 +26,20 @@ outside it.
 Production path: ``DeltaScorer.build`` interns the Horner form straight
 into a rewriter arena, then ``run`` and a count; ``simplify`` also returns
 the compacted DAG. ``DeltaScorer.delta`` (the search's playout score)
-caches the count per order, and also per decision trace of the build: the
-split and factor choices through which alone the order reaches the arena.
-An order whose build makes the decisions of an earlier one gets that
-arena, node for node, so its count is looked up, not eliminated again;
-``DeltaScorer`` gives the proof. The build walks term-index lists over
-per-variable exponent columns without recursion, so Horner depth is
-bounded by memory only; it closes levels of one or two terms, the most
-common ones, in one pass, and memoizes leaf ids. Add/mul args are tuples,
-shared with the intern key, so an arena holds few containers that the
-garbage collector tracks. Reference path: ``apply_scheme``, ``build_dag``,
-``_Rewriter.from_dag``, ``dag_op_count``; the first two recurse once per
-Horner level and fail on deep input. Both paths intern nodes in the same
-order, so they give the same arena, DAG and count; the tests check this
-node for node on random inputs.
+keeps one cache of counts, keyed by order and by the decision trace of
+the build: the split and factor choices through which alone the order
+reaches the arena. An order whose build makes the decisions of an earlier
+one gets that arena, node for node, so its count is looked up, not
+eliminated again; ``DeltaScorer`` gives the proof. The build walks
+term-index lists over per-variable exponent columns without recursion, so
+Horner depth is bounded by memory only; it closes levels of one or two
+terms, the most common ones, in one pass, and memoizes leaf ids. Add/mul
+args are tuples, shared with the intern key, so an arena holds few
+containers that the garbage collector tracks. Reference path:
+``apply_scheme``, ``build_dag``, ``_Rewriter.from_dag``, ``dag_op_count``;
+the first two recurse once per Horner level and fail on deep input. Both
+paths intern nodes in the same order, so they give the same arena, DAG
+and count; the tests check this node for node on random inputs.
 
 Neither path makes a node that no root reaches (``Dag`` gives the proof),
 so a count is one pass over the node table, one weight per node, with no
@@ -528,13 +528,13 @@ class DeltaScorer:
     Terms are stored once, as a coefficient list and one exponent column per
     variable of ``variables(e)``, both indexed by term.
 
-    ``delta`` keeps two caches of (mul, add). ``cache`` maps an effective
-    order to its count, so re-scoring a revisited path is a dictionary
-    lookup; sweep workers relay its entries. ``_by_trace`` maps the
-    decision trace of a build to its count and stays in its process. On an
-    order miss ``delta`` builds the arena and its trace, and only a trace
-    miss runs ``_Rewriter`` set-up, the elimination and the count. Many
-    orders share a trace: the 5040 orders of res(3,2) make 828.
+    ``delta`` keeps one cache of (mul, add), ``cache``, which sweep workers
+    relay. It maps an effective order (a tuple) to its count, so
+    re-scoring a revisited path is a dictionary lookup, and the decision
+    trace of a build (bytes, never equal to a tuple) to the count of its
+    arena. On an order miss ``delta`` builds the arena and its trace, and
+    only a trace miss runs ``_Rewriter`` set-up, the elimination and the
+    count. Many orders share a trace: the 5040 orders of res(3,2) make 828.
 
     The trace fixes the arena. The build walks its levels depth first, and
     a level is its term list ``ts`` and ``sub``; whether it is one term, a
@@ -573,8 +573,7 @@ class DeltaScorer:
         for i, t in enumerate(e.terms):
             for a, exp in t.exponents:
                 self._cols[self._pos[a]][i] = exp
-        self.cache: dict[tuple[int, ...], tuple[int, int]] = {}
-        self._by_trace: dict[bytes, tuple[int, int]] = {}
+        self.cache: dict[tuple[int, ...] | bytes, tuple[int, int]] = {}
         # Trace entries are variable positions and the end marker n.
         n = len(self.var_ids)
         self._trace_code = "B" if n < 1 << 8 else "H" if n < 1 << 16 else "Q"
@@ -587,11 +586,11 @@ class DeltaScorer:
         hit = self.cache.get(order)
         if hit is None:
             kinds, args, roots, trace = self._arena(order)
-            hit = self._by_trace.get(trace)
+            hit = self.cache.get(trace)
             if hit is None:
                 rw = _Rewriter(kinds, args, roots)
                 rw.run()
-                hit = self._by_trace[trace] = rw.live_op_count()
+                hit = self.cache[trace] = rw.live_op_count()
             self.cache[order] = hit
         return hit
 

@@ -120,13 +120,16 @@ class Expression:
         if limit and big.bit_length() > 3 * limit and big >= 10**limit:
             raise ValueError(f"coefficient longer than {limit} digits")
         kept = [Term(c, exps) for exps, c in merged.items() if c != 0]
-        n = 1 + max((a for t in kept for a, _ in t.exponents), default=-1)
 
         def key(t: Term):
-            dense = [0] * n
+            # Orders like (degree, dense exponent vector) without building
+            # the vector: at the first atom where two terms differ, the one
+            # that holds it (-a is larger than any later -b), or holds it
+            # to a higher power, is larger.
+            k = [t.degree]
             for a, e in t.exponents:
-                dense[a] = e
-            return (t.degree, tuple(dense))
+                k += (-a, e)
+            return k
 
         kept.sort(key=key, reverse=True)
         return cls(atoms, tuple(kept))

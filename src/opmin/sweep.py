@@ -17,14 +17,12 @@ seeded stream, run k uses seed base_seed+k, and rows are emitted in sample
 order even when computed concurrently.
 
 All runs of a sweep share one score cache, the scorer's ``cache`` of
-counts per order. With several worker processes the parent holds it: each
-task carries the entries its worker has not been sent yet, and each result
-brings back the entries the worker computed, so an order is evaluated about
-once per sweep rather than once per worker. Only that cache is relayed. The
-scorer's memo of counts per Horner arena, which lets an order that builds
-an arena already scored skip the elimination, is per process: a worker
-eliminates an arena again when only another worker has scored it. Both
-hold exact counts, so the rows do not depend on which process scored what.
+counts per order and per decision trace. With several worker processes the
+parent holds it: each task carries the entries its worker has not been
+sent yet, and each result brings back the entries the worker computed, so
+an order is built and a trace eliminated about once per sweep rather than
+once per worker. The counts are exact, so the rows do not depend on which
+process scored what.
 """
 
 from __future__ import annotations
@@ -135,9 +133,7 @@ def run_sweep(
     for every value of ``jobs``. ``jobs > 1`` runs the samples in
     ``min(jobs, samples)`` worker processes (none for a single sample) that
     share this cache through the parent; the rows, and the cache left in
-    ``scorer.cache``, equal those of a sequential run. The scorer's memo of
-    counts per arena is per process and not relayed, so with workers the
-    caller's copy gains no entries. Raises ValueError if
+    ``scorer.cache``, equal those of a sequential run. Raises ValueError if
     ``jobs < 1`` and RuntimeError if a worker dies; an exception raised in a
     worker is re-raised here.
     """
@@ -234,12 +230,12 @@ def _run_in_workers(e, config, tasks, workers: int, scorer: DeltaScorer) -> list
                     raise exc from RuntimeError(f"in sweep worker {w}:\n{tb}")
                 row, entries = payload
                 rows.append(row)
-                for order, counts in entries:
-                    if order not in cache:
-                        cache[order] = counts
+                for key, counts in entries:
+                    if key not in cache:
+                        cache[key] = counts
                         for other in range(workers):
                             if other != w:
-                                unsent[other].append((order, counts))
+                                unsent[other].append((key, counts))
                 send_next(w)
         for conn in conns:
             conn.send(None)

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opmin
 from opmin.expr import (
     AtomTable,
     Expression,
@@ -332,3 +336,45 @@ class TestToString:
         for _ in range(300):
             e = random_expression(rng)
             assert parse(to_string(e)) == e
+
+
+def dense_key(t: Term, n: int):
+    """The canonical order's reference key: degree, then the exponent of
+    each atom id below *n*, 0 where the term lacks the atom."""
+    dense = [0] * n
+    for a, e in t.exponents:
+        dense[a] = e
+    return (t.degree, tuple(dense))
+
+
+class TestCanonicalOrder:
+    def test_terms_sort_as_by_the_dense_key(self):
+        rng = np.random.default_rng(2222)
+        for _ in range(1200):
+            e = random_expression(
+                rng,
+                n_vars=int(rng.integers(1, 9)),
+                max_terms=int(rng.integers(1, 25)),
+                max_exp=int(rng.integers(1, 4)),
+            )
+            n = 1 + max((a for t in e.terms for a, _ in t.exponents), default=-1)
+            want = sorted(e.terms, key=lambda t: dense_key(t, n), reverse=True)
+            assert list(e.terms) == want
+            shuffled = list(e.terms)
+            rng.shuffle(shuffled)
+            assert Expression.from_terms(e.atoms, shuffled).terms == e.terms
+
+    def test_wide_linear_form_parses_in_bounded_memory(self):
+        # 20,000 terms over 20,000 variables: a dense key per term would
+        # need 20,000 * 20,000 exponent slots, and fails under this limit.
+        code = """
+import resource
+from opmin.expr import parse
+text = " + ".join(f"x{i}" for i in range(20000))
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+print(len(parse(text).terms))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(opmin.__file__).resolve().parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "20000\n"

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -296,6 +297,32 @@ class TestSearch:
                     check(c)
 
         check(state.root)
+
+    def test_uct_run_at_a_smaller_n_is_a_prefix(self):
+        # UCT's temperature does not depend on N, so a run at N' is the
+        # first N' iterations of a run at N. SA-UCT's cp*(N-i)/N does, so
+        # its runs at N' leave that prefix.
+        sparse = RandomExprParams(n_vars=8, n_terms=24, max_exponent=3, coeff_range=5, seed=15)
+        exprs = [resultant_expr(3, 2), resultant_expr(3, 3), random_expr(sparse)]
+        uct_cases = sa_differ = 0
+        for e in exprs:
+            scorer = DeltaScorer(e)
+            for direction in Direction:
+                for seed in range(3):
+                    for cp in (0.01, 0.3, 5.0):
+                        p = params(cp=cp, n_updates=300, criterion=Criterion.UCT, direction=direction, seed=seed)
+                        full = search(e, p, scorer=scorer).deltas_per_iteration
+                        for n in (10, 50, 150):
+                            part = search(e, replace(p, n_updates=n), scorer=scorer)
+                            assert part.deltas_per_iteration == full[:n]
+                            assert part.best_delta.total == min(full[:n])
+                            uct_cases += 1
+                    p = params(cp=0.3, n_updates=300, direction=direction, seed=seed)
+                    full = search(e, p, scorer=scorer).deltas_per_iteration
+                    part = search(e, replace(p, n_updates=150), scorer=scorer)
+                    sa_differ += part.deltas_per_iteration != full[:150]
+        assert uct_cases == 162
+        assert sa_differ == 18
 
     def test_deterministic(self):
         e = five_var_expr(seed=21)

@@ -184,10 +184,10 @@ def check_workers_start_from_the_callers_cache():
     cfg = small_config(samples=6, n_updates=30)
     scorer = DeltaScorer(e)
     run_sweep(e, cfg, jobs=1, scorer=scorer)
-    # Counts raised by 100 for every order this sweep scores. A worker that
-    # did not start from them would score those orders itself and steer its
-    # searches differently.
-    marked = {order: (mul + 100, add) for order, (mul, add) in scorer.cache.items()}
+    # Counts raised by 100 for every order and trace this sweep scores. A
+    # worker that did not start from them would score those orders itself
+    # and steer its searches differently.
+    marked = {key: (mul + 100, add) for key, (mul, add) in scorer.cache.items()}
     rows, caches = [], []
     for jobs in (1, 2):
         scorer = DeltaScorer(e)
@@ -210,6 +210,19 @@ class TestSharedCache:
         one, two = DeltaScorer(e), DeltaScorer(e)
         assert run_sweep(e, cfg, jobs=2, scorer=two) == run_sweep(e, cfg, jobs=1, scorer=one)
         assert two.cache == one.cache
+
+    def test_jobs_two_relays_the_trace_counts(self):
+        # The cache also maps decision traces (bytes) to counts; workers
+        # send theirs back like order entries.
+        e = resultant_expr(3, 2)
+        cfg = small_config(samples=16, n_updates=40)
+        traces = []
+        for jobs in (1, 2):
+            scorer = DeltaScorer(e)
+            run_sweep(e, cfg, jobs=jobs, scorer=scorer)
+            traces.append({key: counts for key, counts in scorer.cache.items() if isinstance(key, bytes)})
+        assert traces[1] == traces[0]
+        assert traces[0]
 
     def test_more_workers_than_cores_lose_no_entry(self):
         e = resultant_expr(3, 2)

@@ -1,4 +1,5 @@
-"""``DeltaScorer.delta``'s second memo, keyed by the Horner build's trace.
+"""``DeltaScorer.delta``'s trace keys: its cache also maps the Horner build's
+decision trace (bytes) to the count of its arena.
 
 The order reaches the build only through its decisions: the variable each
 level of three or more terms splits on (or none), and the variables each
@@ -21,6 +22,10 @@ from opmin.cse import DeltaScorer, _Rewriter
 from opmin.expr import AtomTable, Expression, Term, variables
 
 from test_expr import random_expression
+
+
+def trace_keys(scorer):
+    return [key for key in scorer.cache if isinstance(key, bytes)]
 
 
 def fresh_delta(e, order):
@@ -56,8 +61,8 @@ def test_res32_landscape_is_pinned_and_scores_each_trace_once(eliminations):
     assert totals.count(34) == 54
     # One elimination per distinct trace, and the 5040 orders have fewer
     # than a fifth as many.
-    assert eliminations[0] == len(scorer._by_trace) < 5040 // 5
-    assert len(scorer.cache) == 5040
+    assert eliminations[0] == len(trace_keys(scorer)) == 828 < 5040 // 5
+    assert len(scorer.cache) == 5040 + 828
 
 
 def test_memoized_delta_equals_a_fresh_pipeline_in_both_directions():
@@ -74,7 +79,9 @@ def test_memoized_delta_equals_a_fresh_pipeline_in_both_directions():
             for effective in (order, order[::-1]):
                 assert scorer.delta(effective) == fresh_delta(e, effective)
                 pairs += 1
-        shared += len(scorer.cache) - len(scorer._by_trace)
+        traces = len(trace_keys(scorer))
+        orders = len(scorer.cache) - traces
+        shared += orders - traces
     assert pairs == 2000
     # Some orders were scored from another order's arena.
     assert shared > 0
