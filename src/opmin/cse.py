@@ -23,18 +23,21 @@ can make two nodes identical, so there is nothing to merge; ``_Rewriter``
 states the precondition and the proof, and raises ValueError on a DAG
 outside it.
 
-Production path: ``DeltaScorer.build`` interns the Horner form straight
-into a rewriter arena, then ``run`` and a count; ``simplify`` also returns
-the compacted DAG. ``DeltaScorer.delta`` (the search's playout score)
-keeps one cache of counts, keyed by order and by the decision trace of
-the build: the split and factor choices through which alone the order
-reaches the arena. An order whose build makes the decisions of an earlier
-one gets that arena, node for node, so its count is looked up, not
-eliminated again; ``DeltaScorer`` gives the proof. The build walks
-term-index lists over per-variable exponent columns without recursion, so
-Horner depth is bounded by memory only; it closes levels of one or two
-terms, the most common ones, in one pass, and memoizes leaf ids. Add/mul
-args are tuples, shared with the intern key, so an arena holds few
+Production path: ``DeltaScorer.build`` is one decision walk and one
+interning pass. ``_plan`` walks the Horner levels from one task stack,
+without recursion, so Horner depth is bounded by memory only. It returns
+the decision trace, the split and factor choices through which alone the
+order reaches the arena, and the plan: the interning steps in build
+order, each a tuple of ints. ``_intern`` replays the plan into a rewriter
+arena; it closes a level of one or two terms, the most common ones, in
+one step, and memoizes leaf ids. Then come ``run`` and a count;
+``simplify`` also returns the compacted DAG. ``DeltaScorer.delta`` (the
+search's playout score) keeps one cache of counts, keyed by order and by
+decision trace. An order miss runs the walk only. An order whose walk
+makes the decisions of an earlier one gets that arena, node for node, so
+its count is looked up, and it is neither interned nor eliminated again;
+``DeltaScorer`` gives the proof. Add/mul args are tuples, shared with the
+intern key, and plan steps hold ints only, so a build holds few
 containers that the garbage collector tracks. Reference path:
 ``apply_scheme``, ``build_dag``, ``_Rewriter.from_dag``, ``dag_op_count``;
 the first two recurse once per Horner level and fail on deep input. Both
@@ -61,6 +64,8 @@ from .horner import Const, Power, Scheme, Sum, Var, check_scheme, effective_orde
 K_SUM, K_PROD, K_POW, K_VAR, K_CONST = 0, 1, 2, 3, 4
 _AC = (K_SUM, K_PROD)
 _KIND_NAMES = {K_SUM: "add", K_PROD: "mul", K_POW: "pow", K_VAR: "var", K_CONST: "const"}
+# Steps of a Horner plan (``DeltaScorer._plan``), each a tuple of ints.
+_FLAT, _FACTOR, _PAIR, _ADDENDS, _CLOSE = range(5)
 
 
 class Dag:
@@ -75,11 +80,12 @@ class Dag:
     No path makes a dead node:
 
     - ``build_dag`` interns only what ``visit`` reaches from the tree's root.
-    - ``DeltaScorer.build`` interns a node only to place its id under a
-      parent or to return it as the root. A factor's var node sits under
-      its pow node; ``pair`` and ``monomial`` use every id they intern; open
-      nodes pass their ids up through ``parts``; the empty expression is
-      one const root.
+    - ``DeltaScorer.build`` (its ``_intern`` pass) interns a node only to
+      place its id under a parent or to return it as the root. A factor's
+      var node sits under its pow node; a ``_FACTOR`` step's id goes into
+      its level's product; a ``_PAIR`` step and ``monomial`` use every id
+      they intern; open nodes pass their ids up through ``parts``; the
+      empty expression is one const root.
     - An extraction keeps every node reachable (``_Rewriter``, property 6).
     - ``compact`` emits only the nodes it reaches from the roots.
 
@@ -532,36 +538,42 @@ class DeltaScorer:
     relay. It maps an effective order (a tuple) to its count, so
     re-scoring a revisited path is a dictionary lookup, and the decision
     trace of a build (bytes, never equal to a tuple) to the count of its
-    arena. On an order miss ``delta`` builds the arena and its trace, and
-    only a trace miss runs ``_Rewriter`` set-up, the elimination and the
+    arena. On an order miss ``delta`` runs the decision walk, ``_plan``,
+    which gives the trace and the plan. Only a trace miss interns the plan
+    (``_intern``) and runs ``_Rewriter`` set-up, the elimination and the
     count. Many orders share a trace: the 5040 orders of res(3,2) make 828.
 
-    The trace fixes the arena. The build walks its levels depth first, and
-    a level is its term list ``ts`` and ``sub``; whether it is one term, a
-    ``pair`` or a ``horner`` level follows from its size. The order acts
-    only through these decisions, each recorded as trace entries:
+    The trace fixes the plan, and the plan fixes the arena. The walk takes
+    its levels depth first, and a level is its term list ``ts`` and
+    ``sub``; whether it has one, two, or three or more terms follows from
+    its size. The order acts only through these decisions, each recorded
+    as trace entries:
 
-    - A ``horner`` level splits on the first variable in scan order that
-      two or more of its terms hold beyond ``sub``, or is flat when none
-      does. Given that variable (or the end marker), ``rest``, ``with_v``,
-      the factor exponent and both sub-levels follow from the level alone.
-      The scan position ``j`` only bounds which variables later decisions
-      can pick, and those picks are entries of their own.
-    - A ``pair`` level factors out every variable both terms hold beyond
-      ``sub``, in scan order. Those variables in that order, then the end
-      marker, fix its factors, their interning order and the cofactors.
-    - ``monomial`` walks a term's exponents in atom-id order, and
-      ``factor`` and ``const`` memoize by variable position and by
-      coefficient, so neither depends on the order.
+    - A level of three or more terms splits on the first variable in scan
+      order that two or more of its terms hold beyond ``sub``, or is flat
+      when none does. Given that variable (or the end marker), ``rest``,
+      ``with_v``, the factor exponent, both sub-levels and the level's own
+      steps follow from the level alone. The scan position ``j`` only
+      bounds which variables later decisions can pick, and those picks are
+      entries of their own.
+    - A level of two terms factors out every variable both terms hold
+      beyond ``sub``, in scan order. Those variables in that order, then
+      the end marker, fix its ``_FACTOR`` steps, their order, the raised
+      ``sub`` and its ``_PAIR`` step.
+    - A level of one term is one ``_FLAT`` step and makes no decision.
 
     By induction over the walk, equal traces visit the same levels in the
-    same sequence and make the same ``intern`` calls, so they give the same
-    arena; ``run`` and ``live_op_count`` depend on the arena alone. The
-    converse fails: two traces can give one arena, which is then
-    eliminated once per trace. Entries are variable positions with
-    ``len(var_ids)`` as the end marker, stored in one, two or eight bytes
-    each, as that marker needs, so the number of variables is not capped.
-    A trace is kept as bytes, which the garbage collector does not track.
+    same sequence and emit the same steps, so they give the same plan.
+    ``_intern`` reads nothing of the order but the plan: ``monomial`` walks
+    a term's exponents in atom-id order, and ``factor`` and ``const``
+    memoize by variable position and by coefficient. So equal plans make
+    the same ``intern`` calls and give the same arena, and ``run`` and
+    ``live_op_count`` depend on the arena alone. The converse fails: two
+    traces can give one arena, which is then eliminated once per trace.
+    Entries are variable positions with ``len(var_ids)`` as the end
+    marker, stored in one, two or eight bytes each, as that marker needs,
+    so the number of variables is not capped. A trace is kept as bytes,
+    which the garbage collector does not track.
     """
 
     def __init__(self, e: Expression):
@@ -585,10 +597,10 @@ class DeltaScorer:
         """
         hit = self.cache.get(order)
         if hit is None:
-            kinds, args, roots, trace = self._arena(order)
+            trace, plan = self._plan(order)
             hit = self.cache.get(trace)
             if hit is None:
-                rw = _Rewriter(kinds, args, roots)
+                rw = _Rewriter(*self._intern(plan))
                 rw.run()
                 hit = self.cache[trace] = rw.live_op_count()
             self.cache[order] = hit
@@ -596,55 +608,143 @@ class DeltaScorer:
 
     def build(self, order: tuple[int, ...]) -> _Rewriter:
         """Arena of the Horner form for this effective order, before elimination."""
-        kinds, args, roots, _ = self._arena(order)
-        return _Rewriter(kinds, args, roots)
+        return _Rewriter(*self._intern(self._plan(order)[1]))
 
-    def _arena(self, order: tuple[int, ...]) -> tuple[list, list, list, bytes]:
-        """``(kinds, args, roots, trace)`` of the Horner form for *order*.
+    def _plan(self, order: tuple[int, ...]) -> tuple[bytes, tuple[list, list]]:
+        """``(trace, plan)`` of the Horner form for *order*: the decision walk.
 
-        Same nodes and ids as ``build_dag(apply_scheme(...))``. A Horner
-        level is a list of term indices plus ``sub``, the exponent already
-        factored out of each variable on the path to it. Sums and products
-        stay open, as ``(kind, ids)``, until their parent interns them, so
-        nested ones flatten as in the tree. A level of three or more terms
-        is a generator that yields its sub-levels to one driver loop, so
-        depth is not bounded by Python's recursion limit.
+        A Horner level is a list of term indices ``ts`` plus ``sub``, the
+        exponent already factored out of each variable on the path to it.
+        The walk takes levels depth first from one task stack, so depth is
+        not bounded by Python's recursion limit, and emits the steps that
+        ``_intern`` replays, in the order in which the build interns nodes.
+        A level of one term, or of three or more that no variable splits,
+        is ``_FLAT``: the sum of its terms' monomials.
 
-        A level of one term is its monomial. A level of two terms t1 < t2
-        is closed in one pass (``pair``). It splits on v only when both
-        terms hold v beyond ``sub``; then ``rest`` is empty and ``with_v``
-        is the same two terms with sub[v] raised to the smaller exponent,
-        so v cannot split them again. The generator chain would therefore
-        intern, in scan order, one factor ``v^(min - sub[v])`` for each
-        such v, then the cofactor monomials of t1 and of t2, then their
-        sum, and give the product of the factors and the sum, or the bare
-        sum when no variable split. ``pair`` interns the same nodes in the
-        same order. Every term of ``rest`` holds v at exactly sub[v], so its
-        scan resumes after v, at j + 1.
+        A level of three or more terms splits on the first variable v in
+        scan order that two or more of them hold beyond ``sub``. Its steps
+        are those of ``rest``, the terms that hold v at exactly sub[v]
+        (their scan resumes after v, at j + 1), then ``_ADDENDS`` when
+        ``rest`` is not empty, then ``_FACTOR`` for ``v^e`` with e the
+        smallest exponent of v beyond ``sub`` in ``with_v``, then the steps
+        of ``with_v`` with sub[v] raised by e, then ``_CLOSE``. So the
+        variable-free addend is interned first, then the extracted factor,
+        then the quotient, as in the tree walk.
+
+        A level of two terms t1 < t2 splits on v only when both hold v
+        beyond ``sub``; then ``rest`` is empty and ``with_v`` is the same two
+        terms with sub[v] raised to the smaller exponent, so v cannot split
+        them again. The chain of such splits therefore interns, in scan
+        order, one factor ``v^(min - sub[v])`` for each such v, then the
+        cofactor monomials of t1 and of t2, then their sum. The walk emits
+        a ``_FACTOR`` step for each such v, then one ``_PAIR`` step, which
+        ``_intern`` replays in that order.
+
+        Every step is a tuple of ints, and every ``sub`` a tuple of ints in
+        the side list ``subs``, which steps name by index. The collector
+        stops tracking a tuple of ints at the first collection it survives,
+        so a plan adds no work to later ones, however long ``_intern``
+        takes. The plan is ``(steps, subs)``.
+
+        The trace holds one entry per decision the order makes, in walk
+        order, as variable positions with ``end = len(cols)`` as the end
+        marker: each level of three or more terms appends the variable it
+        splits on, or ``end`` when it is flat; each two-term level appends
+        the variables it factors out, in scan order, then ``end``.
+        ``DeltaScorer`` gives the proof that the trace fixes the plan.
+        """
+        cols = self._cols
+        vs = tuple(self._pos[a] for a in order)
+        trace = array(self._trace_code)
+        record = trace.append
+        end = len(cols)
+        steps: list[tuple[int, ...]] = []
+        emit = steps.append
+        subs = [(0,) * end]
+        n = len(self._coeffs)
+        # Levels to walk, as (None, ts, sub index, scan position), and the
+        # steps to emit once the levels above them on the stack are walked.
+        todo = [(None, range(n), 0, 0)] if n else []
+        while todo:
+            task = todo.pop()
+            if task[0] is not None:
+                emit(task)
+                continue
+            _, ts, si, j = task
+            sub = subs[si]
+            if len(ts) == 2:
+                t1, t2 = ts
+                q = None
+                nf = 0
+                for v in vs[j:]:
+                    col = cols[v]
+                    s = sub[v]
+                    x1 = col[t1]
+                    x2 = col[t2]
+                    if x1 > s and x2 > s:
+                        e = (x1 if x1 < x2 else x2) - s
+                        record(v)
+                        emit((_FACTOR, v, e))
+                        nf += 1
+                        if q is None:
+                            q = list(sub)
+                        q[v] += e
+                record(end)
+                if q is not None:
+                    si = len(subs)
+                    subs.append(tuple(q))
+                emit((_PAIR, t1, t2, si, nf))
+                continue
+            if len(ts) == 1:
+                emit((_FLAT, si, ts[0]))
+                continue
+            # A variable before vs[j] occurs in fewer than two of the parent's
+            # terms, so in fewer than two of ts, with the same exponents.
+            for j in range(j, len(vs)):
+                v = vs[j]
+                col, s = cols[v], sub[v]
+                with_v = [t for t in ts if col[t] > s]
+                if len(with_v) >= 2:
+                    break
+            else:
+                record(end)
+                emit((_FLAT, si, *ts))
+                continue
+            record(v)
+            rest = [t for t in ts if col[t] == s]
+            e = min(map(col.__getitem__, with_v)) - s
+            q = list(sub)
+            q[v] += e
+            # Popped in walk order: rest's steps, _ADDENDS when rest is not
+            # empty, _FACTOR, with_v's steps, _CLOSE.
+            todo += [(_CLOSE, len(rest)), (None, with_v, len(subs), j), (_FACTOR, v, e)]
+            subs.append(tuple(q))
+            if rest:
+                todo += [(_ADDENDS,), (None, rest, si, j + 1)]
+        return trace.tobytes(), (steps, subs)
+
+    def _intern(self, plan: tuple[list, list]) -> tuple[list, list, list]:
+        """``(kinds, args, roots)``: the arena that *plan* interns.
+
+        Same nodes and ids as ``build_dag(apply_scheme(...))``. Each step
+        pushes one value on a stack: an open sum or product ``(kind, ids)``,
+        which stays open until its parent interns it, so nested ones flatten
+        as in the tree; a factor id (``_FACTOR``); or a split level's
+        addends (``_ADDENDS``). ``_PAIR`` takes its ``nf`` factor ids and
+        ``_CLOSE`` its level's factor, quotient and addends off the stack.
 
         Leaves are memoized for one build: factor ids per (variable,
         exponent) and constant ids per coefficient. A leaf's first use
         goes through ``intern``, so ids do not change. ``monomial`` walks
         only the term's own exponents, which are sorted by atom id like
-        ``var_ids``.
-
-        The trace holds one entry per decision the order makes, in build
-        order, as variable positions with ``end = len(cols)`` as the end
-        marker: each level of three or more terms appends the variable it
-        splits on, or ``end`` when it is flat; each ``pair`` level appends
-        the variables it factors out, in scan order, then ``end``.
-        ``DeltaScorer`` gives the proof that the trace fixes the arena.
+        ``var_ids``. An empty plan is the empty expression, the constant 0.
         """
-        var_ids, coeffs, cols, exps = self.var_ids, self._coeffs, self._cols, self._exps
-        pos = self._pos
-        vs = tuple(pos[a] for a in order)
-        trace = array(self._trace_code)
-        record = trace.append
-        end = len(cols)
+        steps, subs = plan
+        var_ids, coeffs, exps, pos = self.var_ids, self._coeffs, self._exps, self._pos
         kinds: list[int] = []
         args: list[tuple] = []
         index: dict = {}
-        factors: list[dict[int, int]] = [{} for _ in cols]  # v -> {exponent: id}
+        factors: list[dict[int, int]] = [{} for _ in var_ids]  # v -> {exponent: id}
         consts: dict[int, int] = {}  # coefficient -> id
 
         def intern(kind, arg: tuple) -> int:
@@ -693,80 +793,39 @@ class DeltaScorer:
                 return intern(K_PROD, tuple(sorted(ids)))
             return ids[0] if ids else const(1)
 
-        def pair(t1, t2, sub, j):
-            fs = []
-            copied = False
-            for v in vs[j:]:
-                col = cols[v]
-                s = sub[v]
-                x1 = col[t1]
-                x2 = col[t2]
-                if x1 > s and x2 > s:
-                    e = (x1 if x1 < x2 else x2) - s
-                    record(v)
-                    fs.append(factor(v, e))
-                    if not copied:
-                        sub = sub.copy()
-                        copied = True
-                    sub[v] += e
-            record(end)
-            m1 = monomial(t1, sub)
-            m2 = monomial(t2, sub)
-            if not fs:
-                return K_SUM, [m1, m2]
-            fs.append(intern(K_SUM, (m1, m2) if m1 < m2 else (m2, m1)))
-            return K_PROD, fs
-
-        def horner(ts, sub, j):
-            # A variable before vs[j] occurs in fewer than two of the parent's
-            # terms, so in fewer than two of ts, with the same exponents.
-            for j in range(j, len(vs)):
-                v = vs[j]
-                col, s = cols[v], sub[v]
-                with_v = [t for t in ts if col[t] > s]
-                if len(with_v) < 2:
+        vals: list = []
+        push, pop = vals.append, vals.pop
+        for step in steps:
+            op = step[0]
+            if op == _FLAT:
+                sub = subs[step[1]]
+                push((K_SUM, [monomial(t, sub) for t in step[2:]]))
+            elif op == _FACTOR:
+                push(factor(step[1], step[2]))
+            elif op == _PAIR:
+                _, t1, t2, si, nf = step
+                m1 = monomial(t1, subs[si])
+                m2 = monomial(t2, subs[si])
+                if not nf:
+                    push((K_SUM, [m1, m2]))
                     continue
-                record(v)
-                rest = [t for t in ts if col[t] == s]
-                # Interning order follows the tree walk: the variable-free
-                # addend first, then the extracted factor, then the quotient.
-                addends = parts((yield rest, sub, j + 1), K_SUM) if rest else []
-                e = min(map(col.__getitem__, with_v)) - s
-                prod = [factor(v, e)]
-                q = sub.copy()
-                q[v] += e
-                prod += parts((yield with_v, q, j), K_PROD)
-                if not rest:
-                    return K_PROD, prod
-                addends.append(close(K_PROD, prod))
-                return K_SUM, addends
-            record(end)
-            return K_SUM, [monomial(t, sub) for t in ts]
-
-        n = len(coeffs)
-        if not n:
-            return kinds, args, [intern(K_CONST, (0,))], b""
-        # Levels of one or two terms are closed at once; larger ones are
-        # generators on the stack.
-        stack = []
-        ts, sub, j = range(n), [0] * len(cols), 0
-        while True:
-            if len(ts) > 2:
-                stack.append(horner(ts, sub, j))
-                val = None
-            elif len(ts) == 2:
-                val = pair(ts[0], ts[1], sub, j)
-            else:
-                val = K_SUM, [monomial(ts[0], sub)]
-            while stack:
-                try:
-                    ts, sub, j = stack[-1].send(val)
-                    break
-                except StopIteration as done:
-                    stack.pop()
-                    val = done.value
-            else:
-                return kinds, args, [close(*val)], trace.tobytes()
+                fs = vals[-nf:]
+                del vals[-nf:]
+                fs.append(intern(K_SUM, (m1, m2) if m1 < m2 else (m2, m1)))
+                push((K_PROD, fs))
+            elif op == _ADDENDS:
+                push(parts(pop(), K_SUM))
+            else:  # _CLOSE: the quotient is on top of the factor, then the addends
+                quotient = pop()
+                prod = [pop()]
+                prod += parts(quotient, K_PROD)
+                if step[1]:
+                    addends = pop()
+                    addends.append(close(K_PROD, prod))
+                    push((K_SUM, addends))
+                else:
+                    push((K_PROD, prod))
+        return kinds, args, [close(*pop()) if vals else const(0)]
 
 
 def simplify(e: Expression, s: Scheme) -> SimplifyResult:

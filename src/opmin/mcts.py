@@ -214,6 +214,8 @@ def brute_force_search(
     max_vars: int = 8,
 ) -> SearchResult:
     """Exhaustive minimum over all full extraction orders (lex-first ties)."""
+    if max_vars < 1:
+        raise ValueError("max_vars must be >= 1")
     if not isinstance(direction, Direction):
         raise TypeError(f"direction must be a Direction, got {direction!r}")
     vs = variables(e)

@@ -20,9 +20,9 @@ All runs of a sweep share one score cache, the scorer's ``cache`` of
 counts per order and per decision trace. With several worker processes the
 parent holds it: each task carries the entries its worker has not been
 sent yet, and each result brings back the entries the worker computed, so
-an order is built and a trace eliminated about once per sweep rather than
-once per worker. The counts are exact, so the rows do not depend on which
-process scored what.
+an order's decisions are walked, and a trace's arena interned and
+eliminated, about once per sweep rather than once per worker. The counts
+are exact, so the rows do not depend on which process scored what.
 """
 
 from __future__ import annotations

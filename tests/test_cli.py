@@ -110,6 +110,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"opmin: error: jobs must be >= 1, got {jobs}\n"
 
+    @pytest.mark.parametrize("max_vars", ["0", "-1"])
+    def test_bruteforce_max_vars_below_one_exits_2(self, capsys, three_vars, max_vars):
+        # Refused before the variable count is compared with the guard.
+        code, out, err = run(capsys, "bruteforce", three_vars, "--max-vars", max_vars)
+        assert code == 2 and out == ""
+        assert err == "opmin: error: max_vars must be >= 1\n"
+
     @pytest.mark.parametrize(
         "row, message",
         [

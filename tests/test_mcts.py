@@ -393,6 +393,12 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="exceeds brute-force guard"):
             brute_force_search(e)
 
+    @pytest.mark.parametrize("e", [parse(WORKED), parse("3")], ids=["worked", "constant"])
+    def test_max_vars_below_one_is_refused_first(self, e):
+        # Before the direction, the variable count and the guard are checked.
+        with pytest.raises(ValueError, match=r"^max_vars must be >= 1$"):
+            brute_force_search(e, "backward", max_vars=0)
+
     def test_direction_text_is_rejected(self):
         with pytest.raises(TypeError, match="direction must be a Direction"):
             brute_force_search(parse(WORKED), "backward")

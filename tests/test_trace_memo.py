@@ -5,12 +5,17 @@ The order reaches the build only through its decisions: the variable each
 level of three or more terms splits on (or none), and the variables each
 two-term level factors out. ``delta`` therefore scores an order whose
 decision trace it has seen from the count of that trace's arena, without
-running the elimination again. These tests check that the memoized score
+running the elimination again. The build is a decision walk (``_plan``),
+which gives the trace and the plan, and an interning pass (``_intern``),
+which only a trace miss runs. These tests check that the memoized score
 equals a fresh build, elimination and count; that equal traces give equal
-arenas; that the build itself is node for node what it was before the
-trace was added; and that the memo engages on the whole res(3,2) landscape.
+plans and arenas; that the build itself is node for node what it was
+before the trace was added; that the memo engages on the whole res(3,2)
+landscape, where only a trace miss interns; and that the garbage collector
+tracks no entry of a plan.
 """
 
+import gc
 import hashlib
 from itertools import permutations
 
@@ -34,18 +39,23 @@ def fresh_delta(e, order):
     return rw.live_op_count()
 
 
+def count_calls(monkeypatch, cls, name):
+    """A one-item list that counts the calls of the method ``cls.name``."""
+    calls = [0]
+    method = getattr(cls, name)
+
+    def counted(self, *args):
+        calls[0] += 1
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 @pytest.fixture
 def eliminations(monkeypatch):
     """A one-item list that counts the calls of ``_Rewriter.run``."""
-    calls = [0]
-    run = _Rewriter.run
-
-    def counted(self):
-        calls[0] += 1
-        run(self)
-
-    monkeypatch.setattr(_Rewriter, "run", counted)
-    return calls
+    return count_calls(monkeypatch, _Rewriter, "run")
 
 
 def test_res32_landscape_is_pinned_and_scores_each_trace_once(eliminations):
@@ -63,6 +73,31 @@ def test_res32_landscape_is_pinned_and_scores_each_trace_once(eliminations):
     # than a fifth as many.
     assert eliminations[0] == len(trace_keys(scorer)) == 828 < 5040 // 5
     assert len(scorer.cache) == 5040 + 828
+
+
+def test_only_a_trace_miss_interns_an_arena(monkeypatch, eliminations):
+    interns = count_calls(monkeypatch, DeltaScorer, "_intern")
+    e = resultant_expr(3, 2)
+    scorer = DeltaScorer(e)
+    orders = list(permutations(variables(e)))
+    for _ in range(2):
+        for order in orders:
+            scorer.delta(order)
+        # An order whose trace was scored runs the decision walk only.
+        assert interns[0] == eliminations[0] == len(trace_keys(scorer)) == 828
+
+
+@pytest.mark.parametrize("e", [resultant_expr(3, 3), preset_expr("hep-like-15")], ids=["res33", "hep15"])
+def test_no_plan_entry_is_tracked_by_the_collector(e):
+    # A step or sub vector that held a list would stay tracked, and every
+    # collection until the arena is interned would examine it again.
+    vs = variables(e)
+    rng = np.random.default_rng(23)
+    for order in (vs, vs[::-1], tuple(int(a) for a in rng.permutation(vs))):
+        _, (steps, subs) = DeltaScorer(e)._plan(order)
+        gc.collect()
+        assert len(steps) > 20 and len(subs) > 5
+        assert not any(map(gc.is_tracked, steps + subs))
 
 
 def test_memoized_delta_equals_a_fresh_pipeline_in_both_directions():
@@ -95,11 +130,12 @@ def test_equal_traces_give_equal_arenas():
         scorer = DeltaScorer(e)
         seen = {}
         for order in permutations(variables(e)):
-            kinds, args, roots, trace = scorer._arena(order)
-            arena = (kinds, args, roots)
-            first = seen.setdefault(trace, arena)
-            if first is not arena:
-                assert arena == first, order
+            trace, plan = scorer._plan(order)
+            built = (plan, scorer._intern(plan))
+            first = seen.setdefault(trace, built)
+            if first is not built:
+                # The plan is a function of the trace, the arena of the plan.
+                assert built == first, order
                 groups_checked += 1
     assert groups_checked > 1000
 
@@ -121,11 +157,11 @@ def test_trace_distinguishes_variables_past_sixteen_bits():
     e, hi, top = wide_expression(65537)
     scorer = DeltaScorer(e)
     rest = tuple(variables(e)[:-2])
-    a = scorer._arena((top, hi) + rest)
-    b = scorer._arena((hi, top) + rest)
-    assert a[3] != b[3]
-    assert a[:3] != b[:3]
-    assert scorer._arena((top, hi) + rest) == a
+    trace_a, plan_a = scorer._plan((top, hi) + rest)
+    trace_b, plan_b = scorer._plan((hi, top) + rest)
+    assert trace_a != trace_b
+    assert scorer._intern(plan_a) != scorer._intern(plan_b)
+    assert scorer._plan((top, hi) + rest) == (trace_a, plan_a)
 
 
 def test_wide_expression_scores_like_a_fresh_pipeline():
