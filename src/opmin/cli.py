@@ -2,18 +2,20 @@
 
 Subcommands: simplify, search, sweep, bruteforce, generate, analyze.
 Exit codes: 0 success; 1 malformed command line; 2 bad input or argument
-value (unreadable or unparsable file, unknown scheme atom, a number out
-of range such as --n-updates 0, --jobs 0 or --max-vars 0, a sweep --out
-that cannot be opened, which fails before any run, a malformed sweep
-CSV: a row with the wrong field count, a cell of the wrong type, a cp
-that is not positive and finite, an unknown criterion or direction, a
-negative sample, seed or operation count, n_updates below 1, ops_total
-other than ops_mul + ops_add, or a sample number that an earlier row
-has); 3 the self-check failed: the DAG that simplify reports, or the DAG
-of the best scheme of search or bruteforce, does not evaluate like the
-input at 3 seeded points modulo 2^61-1, and nothing is printed to
-standard output; 141, silently, when standard output is closed early
-(``| head``).
+value (unreadable or unparsable file, unknown scheme atom, a --scheme
+whose text after ";" is not a direction, a number out of range such as
+--n-updates 0, --jobs 0 or --max-vars 0, a sweep --out that cannot be
+opened, which fails before any run, a malformed sweep CSV: a row with
+the wrong field count, a cell of the wrong type, a cp that is not
+positive and finite, an unknown criterion or direction, a negative
+sample, seed or operation count, n_updates below 1, ops_total other
+than ops_mul + ops_add, or a sample number that an earlier row has), or
+input too large for the memory available, reported in the one line
+"opmin: error: out of memory"; 3 the self-check failed: the DAG that
+simplify reports, or the DAG of the best scheme of search or bruteforce,
+does not evaluate like the input at 3 seeded points modulo 2^61-1, and
+nothing is printed to standard output; 141, silently, when standard
+output is closed early (``| head``).
 The contents of an existing --out file of sweep or generate are replaced
 only when the command succeeds; a failed command leaves the file as it
 was, or removes it if it did not exist.
@@ -376,8 +378,13 @@ def main(argv=None) -> int:
         print(f"opmin: error: {exc}", file=sys.stderr)
         return 3
     except (OSError, ParseError, ValueError) as exc:
-        print(f"opmin: error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError:
+        # Report after the handler: until it ends, the traceback keeps alive
+        # whatever filled memory, and printing may need more.
+        message = "out of memory"
+    print(f"opmin: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -19,9 +19,11 @@ counted twice or more get parent sets. Extracting a pair (a, b) replaces
 a and b by the pair's node p in every node that holds both; that changes
 only the parent sets of a, b and p, so rewriting a k-ary node costs O(k)
 for its new child list and nothing per pair. On a Horner arena no rewrite
-can make two nodes identical, so there is nothing to merge; ``_Rewriter``
-states the precondition and the proof, and raises ValueError on a DAG
-outside it.
+can make two nodes identical, so there is nothing to merge. ``_Rewriter``
+states this precondition with the proof, and also proves that every arena
+``DeltaScorer`` interns meets it, so set-up checks nothing.
+``_Rewriter.from_dag``, the way in for every other DAG, checks it and
+raises ValueError on a DAG outside it.
 
 Production path: ``DeltaScorer.build`` is one decision walk and one
 interning pass. ``_plan`` walks the Horner levels from one task stack,
@@ -55,7 +57,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import chain, combinations, repeat, starmap
+from itertools import chain, combinations, repeat
 from operator import ge
 
 from .expr import AtomTable, Expression, OpCount, variables
@@ -199,10 +201,45 @@ class _Rewriter:
 
     Precondition: every add/mul child list is strictly increasing, so no
     node repeats a child, and no add/mul node has a child of its own kind.
-    Every arena ``DeltaScorer.build`` makes has both properties (sorted
-    interned children; open same-kind nodes are flattened), and so has
-    ``build_dag(apply_scheme(...))``, which is node for node the same. A
-    rewrite only ever gives a node the new child p, the node of the key
+    ``__init__`` checks neither. It is called on the arenas that
+    ``DeltaScorer._intern`` builds, which meet both conditions, as shown
+    below, and by ``from_dag``, which checks every other DAG first,
+    including ``build_dag(apply_scheme(...))``, node for node the same.
+
+    ``_intern`` makes an add/mul node only from a sorted tuple (``close``,
+    ``monomial``, the ``_PAIR`` sum), so its child tuple is strictly
+    increasing exactly when its ids are distinct. Interned nodes are
+    distinct structures, so two ids differ when their nodes differ in
+    kind, in base variable or in the variables that they reach. The ids
+    are distinct:
+
+    - A monomial holds at most one constant and one var or pow node per
+      variable.
+    - The monomials of a ``_FLAT`` level or of a ``_PAIR`` sum belong to
+      distinct terms under one ``sub``. The parser merges like terms, so
+      their exponents beyond ``sub`` differ, and so do their factors.
+    - A ``_PAIR`` product holds one factor per variable that it factors
+      out, each variable once, and the ``_PAIR`` sum.
+    - A split level's product holds ``v^e`` and the quotient's parts. No
+      part is a power of v: e is the smallest exponent of v beyond ``sub``
+      in ``with_v``, so some quotient term holds v at exactly the raised
+      ``sub``, and the quotient cannot factor v out of all its terms. Its
+      other parts are distinct by induction. The quotient has two or more
+      terms, so it is never a bare factor: its value is a sum node, or an
+      open product whose parts are powers of the variables it factors out
+      and one sum node.
+    - A split level's sum holds ``rest``'s addends and the product. Every
+      term of ``rest`` holds v at exactly sub[v], so no addend reaches v,
+      and the product holds ``v^e``. The addends are distinct by
+      induction.
+
+    No node has a child of its own kind: a level's sum or product stays
+    open until its parent flattens it into a node of the same kind
+    (``parts``) or closes it under the other kind, and a monomial, a
+    product, is placed only in sums: a level of one term is a ``rest`` or
+    the whole expression, never a quotient.
+
+    A rewrite only ever gives a node the new child p, the node of the key
     being extracted, so a node gets its first same-kind parent during its
     own key's extraction. Hence:
 
@@ -238,8 +275,9 @@ class _Rewriter:
     c had one then by this same argument. So every pair the heap ranks
     has both sets.
 
-    ``__init__`` raises ValueError on a child list that is not strictly
-    increasing. ``extract`` raises, before it changes any node, when p
+    ``from_dag`` raises ValueError on a DAG with two identical nodes or an
+    add/mul child list that is not strictly increasing, at the defect with
+    the lower node id. ``extract`` raises, before it changes any node, when p
     already existed and is in ``inner``: it has had a parent of its own
     kind. Only then can a pair (c, p) predate the extraction and p's
     parent set miss a node. The check also covers a target that already
@@ -270,8 +308,6 @@ class _Rewriter:
         self.shift = shift = 2 * bits + 1
         for k, (ids, chs) in zip(_AC, nodes):
             counts = Counter(chain.from_iterable(map(combinations, chs, repeat(2))))
-            if any(starmap(ge, counts)):
-                self._raise_not_increasing()
             repeated = [(x, y, n) for (x, y), n in counts.items() if n >= 2]
             if not repeated:
                 continue
@@ -286,29 +322,29 @@ class _Rewriter:
                         s.add(i)
         heapify(self.heap)
 
-    def _raise_not_increasing(self):
-        """Raise on the first add/mul node whose children are not strictly increasing."""
-        for i, (k, ch) in enumerate(zip(self.kinds, self.args)):
-            if k in _AC and any(map(ge, ch, ch[1:])):
-                raise ValueError(
-                    f"node {i}: {_KIND_NAMES[k]} children {list(ch)} are not strictly increasing"
-                )
-
     @classmethod
     def from_dag(cls, d: Dag) -> "_Rewriter":
-        """Rewriter over a copy of *d*; ValueError if two nodes are identical."""
-        args = []
+        """Rewriter over a copy of *d*, checked against the precondition.
+
+        One pass over the nodes copies each one, raises ValueError at the
+        first node that is identical to an earlier one or has an add/mul
+        child list that is not strictly increasing, and records in
+        ``inner`` every child of an add/mul node of the same kind.
+        """
         index = {}
+        inner = set()
         for i, (k, a) in enumerate(zip(d.kinds, d.args)):
             a = tuple(a)
-            key = (k, a)
-            if key in index:
-                raise ValueError(f"nodes {index[key]} and {i} are identical")
-            index[key] = i
-            args.append(a)
-        rw = cls(list(d.kinds), args, list(d.roots))
-        kinds = d.kinds
-        rw.inner.update(c for k, a in zip(kinds, d.args) if k in _AC for c in a if kinds[c] == k)
+            j = index.setdefault((k, a), i)
+            if j != i:
+                raise ValueError(f"nodes {j} and {i} are identical")
+            if k in _AC:
+                if any(map(ge, a, a[1:])):
+                    raise ValueError(f"node {i}: {_KIND_NAMES[k]} children {list(a)} are not strictly increasing")
+                inner.update(c for c in a if d.kinds[c] == k)
+        # Every node is a key of index, in id order.
+        rw = cls(list(d.kinds), [a for _, a in index], list(d.roots))
+        rw.inner = inner
         return rw
 
     def best_pair(self):

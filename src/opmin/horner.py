@@ -247,8 +247,15 @@ def scheme_to_string(s: Scheme, atoms: AtomTable) -> str:
 
 
 def scheme_from_string(text: str, atoms: AtomTable) -> Scheme:
-    """Parse "y,x;forward"; the direction part may be omitted (forward)."""
-    order_part, _, dir_part = text.partition(";")
-    direction = Direction(dir_part.strip()) if dir_part else Direction.FORWARD
+    """Parse "y,x;forward"; text without ";" is a forward scheme.
+
+    Raises ValueError, naming the directions, when the text after ";" is
+    not one of them, also when it is empty: "x;" is not a forward scheme.
+    """
+    order_part, sep, dir_part = text.partition(";")
+    direction = dir_part.strip() if sep else Direction.FORWARD.value
+    valid = [d.value for d in Direction]
+    if direction not in valid:
+        raise ValueError(f"direction must be one of {', '.join(valid)}, got {direction!r}")
     names = [n.strip() for n in order_part.split(",") if n.strip()]
-    return Scheme(tuple(atoms.id_of(n) for n in names), direction)
+    return Scheme(tuple(atoms.id_of(n) for n in names), Direction(direction))

@@ -194,6 +194,31 @@ class TestExitCodes:
         assert code == 2
         assert err == "opmin: error: unknown atom 'w'\n"
 
+    @pytest.mark.parametrize("scheme", ["x;", "x; "], ids=["empty", "blank"])
+    def test_scheme_with_no_direction_after_the_separator_exits_2(self, capsys, three_vars, scheme):
+        # Not a forward run that ignores --direction.
+        code, out, err = run(capsys, "simplify", three_vars, "--scheme", scheme, "--direction", "backward")
+        assert code == 2 and out == ""
+        assert err == "opmin: error: direction must be one of forward, backward, got ''\n"
+
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path):
+        # The 20,000-variable linear form parses in bounded memory, but the
+        # scorer's exponent columns hold terms x variables entries, more
+        # than this limit allows.
+        path = tmp_path / "wide.txt"
+        path.write_text(" + ".join(f"x{i}" for i in range(20000)) + "\n")
+        code = f"""
+import resource, sys
+from opmin.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.exit(main(["simplify", {str(path)!r}]))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(opmin.__file__).resolve().parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "opmin: error: out of memory\n"
+        assert proc.stdout == ""
+
 
 @pytest.mark.parametrize("argv", [["simplify"], ["search", "--n-updates", "5"], ["bruteforce"]])
 def test_self_check_mismatch_exits_3(capsys, monkeypatch, worked, argv):

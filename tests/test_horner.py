@@ -227,3 +227,12 @@ class TestSchemeSerialization:
         e = parse("x + y")
         with pytest.raises(ValueError, match="unknown atom 'w'"):
             scheme_from_string("w", e.atoms)
+
+    @pytest.mark.parametrize("text", ["x;", "x; "], ids=["empty", "blank"])
+    def test_empty_direction_after_the_separator_rejected(self, text):
+        # The separator, not the text after it, decides that a direction
+        # was given.
+        e = parse("x + y")
+        with pytest.raises(ValueError) as exc:
+            scheme_from_string(text, e.atoms)
+        assert str(exc.value) == "direction must be one of forward, backward, got ''"

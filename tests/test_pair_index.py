@@ -19,7 +19,9 @@ and through both paths that make an arena, because ``live_op_count``
 counts the whole node table. The rewriter does not merge nodes, so a
 DAG on which an extraction would make two nodes identical, whose add/mul
 child lists are not strictly increasing, or on which an extracted pair's
-node is already a same-kind child, must raise ValueError.
+node is already a same-kind child, must raise ValueError. Set-up checks
+no arena, so every arena the scorer builds must meet that precondition
+by construction, on random, pinned and deep inputs.
 """
 
 import signal
@@ -30,7 +32,7 @@ import pytest
 
 from opmin.benchgen import preset_expr, resultant_expr
 from opmin.cse import K_POW, K_PROD, K_SUM, K_VAR, Dag, DeltaScorer, _Rewriter, build_dag, simplify
-from opmin.expr import OpCount, variables
+from opmin.expr import OpCount, parse, variables
 from opmin.horner import Direction, Scheme, apply_scheme, effective_order, occurrence_order
 
 from test_expr import random_expression
@@ -201,6 +203,33 @@ def test_every_node_is_reachable():
             assert not unreachable(rw), order
 
 
+def test_scorer_arenas_meet_the_precondition():
+    # ``_Rewriter.__init__`` checks nothing; only ``from_dag`` checks a
+    # DAG. Every arena the scorer interns must have strictly increasing
+    # add/mul child lists and no child of the node's own kind (the
+    # ``_Rewriter`` docstring gives the proof), and ``run`` must keep the
+    # child lists strictly increasing.
+    rng = np.random.default_rng(7)
+    cases = list(random_cases())
+    for name in ("res(4,3)", "hep-like-22"):
+        e = pinned_expr(name)
+        cases.append((e, tuple(int(a) for a in rng.permutation(variables(e)))))
+    e = parse(" + ".join(f"x^{k}" for k in range(1, 1501)))
+    cases.append((e, tuple(variables(e))))
+    e = parse(" + ".join(f"x^{k}*y^{k}" for k in range(1, 301)))
+    cases += [(e, tuple(variables(e))), (e, tuple(variables(e))[::-1])]
+    for e, order in cases:
+        rw = DeltaScorer(e).build(order)
+        for k, a in zip(rw.kinds, rw.args):
+            if k in (K_SUM, K_PROD):
+                assert all(x < y for x, y in zip(a, a[1:])), (order, k, a)
+                assert all(rw.kinds[c] != k for c in a), (order, k, a)
+        rw.run()
+        for k, a in zip(rw.kinds, rw.args):
+            if k in (K_SUM, K_PROD):
+                assert all(x < y for x, y in zip(a, a[1:])), (order, k, a)
+
+
 def test_extraction_reuses_an_existing_pair_node():
     # x+y (node 4) already exists and sits beside x+y+z (node 5) and
     # x+y+w (node 6) under the product root. Extracting (x, y) must reuse
@@ -262,6 +291,21 @@ def test_from_dag_rejects_children_not_strictly_increasing(kind, children):
 def test_from_dag_rejects_identical_nodes():
     d = Dag([K_VAR, K_VAR, K_SUM, K_SUM, K_PROD], [(0,), (1,), (0, 1), (0, 1), (2, 3)], [4])
     with pytest.raises(ValueError, match="nodes 2 and 3 are identical"):
+        _Rewriter.from_dag(d)
+
+
+@pytest.mark.parametrize(
+    "sums, message",
+    [
+        ([(1, 0), (0, 1), (0, 1)], r"node 2: add children \[1, 0\] are not strictly increasing"),
+        ([(0, 1), (0, 1), (1, 0)], "nodes 2 and 3 are identical"),
+    ],
+    ids=["unsorted-first", "identical-first"],
+)
+def test_from_dag_reports_the_defect_with_the_lower_node_id(sums, message):
+    # Nodes 2 to 4 hold both defects; the one found first in id order wins.
+    d = Dag([K_VAR, K_VAR, K_SUM, K_SUM, K_SUM, K_PROD], [(0,), (1,), *sums, (2, 3, 4)], [5])
+    with pytest.raises(ValueError, match=message):
         _Rewriter.from_dag(d)
 
 
