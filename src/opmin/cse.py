@@ -32,15 +32,17 @@ the decision trace, the split and factor choices through which alone the
 order reaches the arena, and the plan: the interning steps in build
 order, each a tuple of ints. ``_intern`` replays the plan into a rewriter
 arena; it closes a level of one or two terms, the most common ones, in
-one step, and memoizes leaf ids. Then come ``run`` and a count;
-``simplify`` also returns the compacted DAG. ``DeltaScorer.delta`` (the
-search's playout score) keeps one cache of counts, keyed by order and by
-decision trace. An order miss runs the walk only. An order whose walk
-makes the decisions of an earlier one gets that arena, node for node, so
-its count is looked up, and it is neither interned nor eliminated again;
-``DeltaScorer`` gives the proof. Add/mul args are tuples, shared with the
-intern key, and plan steps hold ints only, so a build holds few
-containers that the garbage collector tracks. Reference path:
+one step, and memoizes leaf ids. The scorer, the plan and the trace name
+variables by atom id, as the expression, the order and var nodes do.
+Then come ``run`` and a count; ``simplify`` also returns the compacted
+DAG. ``DeltaScorer.delta`` (the search's playout score) keeps one cache
+of counts, keyed by order and by decision trace. An order miss runs the
+walk only. An order whose walk makes the decisions of an earlier one gets
+that arena, node for node, so its count is looked up, and it is neither
+interned nor eliminated again; ``DeltaScorer`` gives the proof. Add/mul
+args are tuples, shared with the intern key, and plan steps hold ints
+only, so a build holds few containers that the garbage collector tracks.
+Reference path:
 ``apply_scheme``, ``build_dag``, ``_Rewriter.from_dag``, ``dag_op_count``;
 the first two recurse once per Horner level and fail on deep input. Both
 paths intern nodes in the same order, so they give the same arena, DAG
@@ -73,6 +75,9 @@ _FLAT, _FACTOR, _PAIR, _ADDENDS, _CLOSE = range(5)
 class Dag:
     """Append-only node table; a child always precedes the nodes that use it.
 
+    ``_Rewriter.from_dag``, the way in for a ``Dag`` from outside the
+    scorer, refuses one whose children or roots break this.
+
     ``args[i]`` is a sorted child-id tuple for add/mul nodes, ``(base, exp)``
     for pow, ``(atom_id,)`` for var and ``(value,)`` for const. Completed
     instances are immutable and safe to share.
@@ -85,9 +90,10 @@ class Dag:
     - ``DeltaScorer.build`` (its ``_intern`` pass) interns a node only to
       place its id under a parent or to return it as the root. A factor's
       var node sits under its pow node; a ``_FACTOR`` step's id goes into
-      its level's product; a ``_PAIR`` step and ``monomial`` use every id
-      they intern; open nodes pass their ids up through ``parts``; the
-      empty expression is one const root.
+      its level's product; a ``_PAIR`` step, whose product holds one or
+      more factors and the sum of two monomials, and ``monomial`` use
+      every id they intern; open nodes pass their ids up through
+      ``parts``; the empty expression is one const root.
     - An extraction keeps every node reachable (``_Rewriter``, property 6).
     - ``compact`` emits only the nodes it reaches from the roots.
 
@@ -275,18 +281,20 @@ class _Rewriter:
     c had one then by this same argument. So every pair the heap ranks
     has both sets.
 
-    ``from_dag`` raises ValueError on a DAG with two identical nodes or an
-    add/mul child list that is not strictly increasing, at the defect with
-    the lower node id. ``extract`` raises, before it changes any node, when p
-    already existed and is in ``inner``: it has had a parent of its own
-    kind. Only then can a pair (c, p) predate the extraction and p's
-    parent set miss a node. The check also covers a target that already
-    holds p, and a target rewritten into a copy of another node, which
-    holds p too (two targets would have been identical before). Each needs
-    a node of p's kind that holds p before p's extraction, so p had a
-    same-kind parent: one in the input, which ``from_dag`` records, or one
-    made when p's key was extracted before, which ``extract`` records. So
-    a ``Dag`` outside the precondition fails loudly instead of miscounting.
+    ``from_dag`` raises ValueError on a DAG with two identical nodes, an
+    add/mul child list that is not strictly increasing, or a child that is
+    not an earlier node, at the defect with the lower node id, and then on
+    a root that is not a node id. ``extract`` raises, before it changes
+    any node, when p already existed and is in ``inner``: it has had a
+    parent of its own kind. Only then can a pair (c, p) predate the
+    extraction and p's parent set miss a node. The check also covers a
+    target that already holds p, and a target rewritten into a copy of
+    another node, which holds p too (two targets would have been
+    identical before). Each needs a node of p's kind that holds p before
+    p's extraction, so p had a same-kind parent: one in the input, which
+    ``from_dag`` records, or one made when p's key was extracted before,
+    which ``extract`` records. So a ``Dag`` outside the precondition fails
+    loudly instead of miscounting.
     """
 
     def __init__(self, kinds: list, args: list, roots: list):
@@ -327,9 +335,11 @@ class _Rewriter:
         """Rewriter over a copy of *d*, checked against the precondition.
 
         One pass over the nodes copies each one, raises ValueError at the
-        first node that is identical to an earlier one or has an add/mul
-        child list that is not strictly increasing, and records in
-        ``inner`` every child of an add/mul node of the same kind.
+        first node that is identical to an earlier one, has an add/mul
+        child list that is not strictly increasing, or has a child (a pow
+        base included) that is not an earlier node, and records in
+        ``inner`` every child of an add/mul node of the same kind. Then it
+        raises ValueError on a root that is not a node id.
         """
         index = {}
         inner = set()
@@ -338,10 +348,16 @@ class _Rewriter:
             j = index.setdefault((k, a), i)
             if j != i:
                 raise ValueError(f"nodes {j} and {i} are identical")
+            if k in _AC and any(map(ge, a, a[1:])):
+                raise ValueError(f"node {i}: {_KIND_NAMES[k]} children {list(a)} are not strictly increasing")
+            # Sorted, so the first and last children bound them all.
+            children = a if k in _AC else a[:1] if k == K_POW else ()
+            if children and not (0 <= children[0] and children[-1] < i):
+                raise ValueError(f"node {i}: {_KIND_NAMES[k]} children {list(children)} are not all earlier nodes")
             if k in _AC:
-                if any(map(ge, a, a[1:])):
-                    raise ValueError(f"node {i}: {_KIND_NAMES[k]} children {list(a)} are not strictly increasing")
                 inner.update(c for c in a if d.kinds[c] == k)
+        if not all(0 <= r < len(index) for r in d.roots):
+            raise ValueError(f"roots {list(d.roots)} are not all node ids")
         # Every node is a key of index, in id order.
         rw = cls(list(d.kinds), [a for _, a in index], list(d.roots))
         rw.inner = inner
@@ -568,7 +584,9 @@ class DeltaScorer:
     """Horner builds and memoized scores for one fixed expression.
 
     Terms are stored once, as a coefficient list and one exponent column per
-    variable of ``variables(e)``, both indexed by term.
+    atom id, both indexed by term; an atom that cancelled out has no
+    column. Orders, the plan's factors and ``sub`` vectors, and trace
+    entries all name variables by atom id.
 
     ``delta`` keeps one cache of (mul, add), ``cache``, which sweep workers
     relay. It maps an effective order (a tuple) to its count, so
@@ -595,36 +613,38 @@ class DeltaScorer:
     - A level of two terms factors out every variable both terms hold
       beyond ``sub``, in scan order. Those variables in that order, then
       the end marker, fix its ``_FACTOR`` steps, their order, the raised
-      ``sub`` and its ``_PAIR`` step.
+      ``sub`` and its ``_PAIR`` step. The end marker alone, when they share
+      no such variable, fixes its one ``_FLAT`` step: the sum of its two
+      monomials under ``sub``.
     - A level of one term is one ``_FLAT`` step and makes no decision.
 
     By induction over the walk, equal traces visit the same levels in the
     same sequence and emit the same steps, so they give the same plan.
     ``_intern`` reads nothing of the order but the plan: ``monomial`` walks
     a term's exponents in atom-id order, and ``factor`` and ``const``
-    memoize by variable position and by coefficient. So equal plans make
-    the same ``intern`` calls and give the same arena, and ``run`` and
+    memoize by atom id and by coefficient. So equal plans make the same
+    ``intern`` calls and give the same arena, and ``run`` and
     ``live_op_count`` depend on the arena alone. The converse fails: two
     traces can give one arena, which is then eliminated once per trace.
-    Entries are variable positions with ``len(var_ids)`` as the end
-    marker, stored in one, two or eight bytes each, as that marker needs,
-    so the number of variables is not capped. A trace is kept as bytes,
-    which the garbage collector does not track.
+    Entries are atom ids with ``len(e.atoms)`` as the end marker, stored
+    in one, two or eight bytes each, as that marker needs, so the number
+    of atoms is not capped. A trace is kept as bytes, which the garbage
+    collector does not track.
     """
 
     def __init__(self, e: Expression):
-        self.var_ids = variables(e)
-        self._pos = {a: i for i, a in enumerate(self.var_ids)}
         self._coeffs = [t.coeff for t in e.terms]
         self._exps = [t.exponents for t in e.terms]
-        self._cols = [[0] * len(e.terms) for _ in self.var_ids]
+        # One column per atom id; an atom that cancelled out has None.
+        self._cols = cols = [None] * len(e.atoms)
+        for a in variables(e):
+            cols[a] = [0] * len(e.terms)
         for i, t in enumerate(e.terms):
-            for a, exp in t.exponents:
-                self._cols[self._pos[a]][i] = exp
+            for a, x in t.exponents:
+                cols[a][i] = x
         self.cache: dict[tuple[int, ...] | bytes, tuple[int, int]] = {}
-        # Trace entries are variable positions and the end marker n.
-        n = len(self.var_ids)
-        self._trace_code = "B" if n < 1 << 8 else "H" if n < 1 << 16 else "Q"
+        # Trace entries are atom ids and the end marker len(cols).
+        self._trace_code = "B" if len(cols) < 1 << 8 else "H" if len(cols) < 1 << 16 else "Q"
 
     def delta(self, order: tuple[int, ...]) -> tuple[int, int]:
         """(mul, add) after Horner with this effective order plus elimination.
@@ -654,8 +674,9 @@ class DeltaScorer:
         The walk takes levels depth first from one task stack, so depth is
         not bounded by Python's recursion limit, and emits the steps that
         ``_intern`` replays, in the order in which the build interns nodes.
-        A level of one term, or of three or more that no variable splits,
-        is ``_FLAT``: the sum of its terms' monomials.
+        A level of one term, of two that share no variable beyond ``sub``,
+        or of three or more that no variable splits, is ``_FLAT``: the sum
+        of its terms' monomials.
 
         A level of three or more terms splits on the first variable v in
         scan order that two or more of them hold beyond ``sub``. Its steps
@@ -673,8 +694,10 @@ class DeltaScorer:
         them again. The chain of such splits therefore interns, in scan
         order, one factor ``v^(min - sub[v])`` for each such v, then the
         cofactor monomials of t1 and of t2, then their sum. The walk emits
-        a ``_FACTOR`` step for each such v, then one ``_PAIR`` step, which
-        ``_intern`` replays in that order.
+        a ``_FACTOR`` step for each such v, then one ``_PAIR`` step that
+        names their number, which ``_intern`` replays in that order. With
+        no such v, the level is ``_FLAT``, so a ``_PAIR`` step always
+        closes a product of one or more factors and the sum.
 
         Every step is a tuple of ints, and every ``sub`` a tuple of ints in
         the side list ``subs``, which steps name by index. The collector
@@ -683,14 +706,14 @@ class DeltaScorer:
         takes. The plan is ``(steps, subs)``.
 
         The trace holds one entry per decision the order makes, in walk
-        order, as variable positions with ``end = len(cols)`` as the end
-        marker: each level of three or more terms appends the variable it
-        splits on, or ``end`` when it is flat; each two-term level appends
-        the variables it factors out, in scan order, then ``end``.
+        order, as atom ids with ``end = len(cols)``, the number of atoms, as
+        the end marker: each level of three or more terms appends the
+        variable it splits on, or ``end`` when it is flat; each two-term
+        level appends the variables it factors out, in scan order, then
+        ``end``.
         ``DeltaScorer`` gives the proof that the trace fixes the plan.
         """
         cols = self._cols
-        vs = tuple(self._pos[a] for a in order)
         trace = array(self._trace_code)
         record = trace.append
         end = len(cols)
@@ -711,8 +734,8 @@ class DeltaScorer:
             if len(ts) == 2:
                 t1, t2 = ts
                 q = None
-                nf = 0
-                for v in vs[j:]:
+                first = len(steps)
+                for v in order[j:]:
                     col = cols[v]
                     s = sub[v]
                     x1 = col[t1]
@@ -721,23 +744,24 @@ class DeltaScorer:
                         e = (x1 if x1 < x2 else x2) - s
                         record(v)
                         emit((_FACTOR, v, e))
-                        nf += 1
                         if q is None:
                             q = list(sub)
                         q[v] += e
                 record(end)
-                if q is not None:
-                    si = len(subs)
+                if q is None:
+                    emit((_FLAT, si, t1, t2))
+                else:
+                    emit((_PAIR, t1, t2, len(subs), len(steps) - first))
                     subs.append(tuple(q))
-                emit((_PAIR, t1, t2, si, nf))
                 continue
             if len(ts) == 1:
                 emit((_FLAT, si, ts[0]))
                 continue
-            # A variable before vs[j] occurs in fewer than two of the parent's
-            # terms, so in fewer than two of ts, with the same exponents.
-            for j in range(j, len(vs)):
-                v = vs[j]
+            # A variable before order[j] occurs in fewer than two of the
+            # parent's terms, so in fewer than two of ts, with the same
+            # exponents.
+            for j in range(j, len(order)):
+                v = order[j]
                 col, s = cols[v], sub[v]
                 with_v = [t for t in ts if col[t] > s]
                 if len(with_v) >= 2:
@@ -766,21 +790,23 @@ class DeltaScorer:
         pushes one value on a stack: an open sum or product ``(kind, ids)``,
         which stays open until its parent interns it, so nested ones flatten
         as in the tree; a factor id (``_FACTOR``); or a split level's
-        addends (``_ADDENDS``). ``_PAIR`` takes its ``nf`` factor ids and
-        ``_CLOSE`` its level's factor, quotient and addends off the stack.
+        addends (``_ADDENDS``). ``_PAIR`` takes its ``nf >= 1`` factor ids
+        and ``_CLOSE`` its level's factor, quotient and addends off the
+        stack.
 
         Leaves are memoized for one build: factor ids per (variable,
         exponent) and constant ids per coefficient. A leaf's first use
         goes through ``intern``, so ids do not change. ``monomial`` walks
-        only the term's own exponents, which are sorted by atom id like
-        ``var_ids``. An empty plan is the empty expression, the constant 0.
+        only the term's own exponents, in atom-id order, and factor memos
+        and ``sub`` vectors are indexed by atom id too. An empty plan is
+        the empty expression, the constant 0.
         """
         steps, subs = plan
-        var_ids, coeffs, exps, pos = self.var_ids, self._coeffs, self._exps, self._pos
+        coeffs, exps = self._coeffs, self._exps
         kinds: list[int] = []
         args: list[tuple] = []
         index: dict = {}
-        factors: list[dict[int, int]] = [{} for _ in var_ids]  # v -> {exponent: id}
+        factors: list[dict[int, int]] = [{} for _ in self._cols]  # v -> {exponent: id}
         consts: dict[int, int] = {}  # coefficient -> id
 
         def intern(kind, arg: tuple) -> int:
@@ -797,7 +823,7 @@ class DeltaScorer:
             memo = factors[v]
             i = memo.get(e)
             if i is None:
-                i = intern(K_VAR, (var_ids[v],))
+                i = intern(K_VAR, (v,))
                 if e != 1:
                     i = intern(K_POW, (i, e))
                 memo[e] = i
@@ -819,8 +845,7 @@ class DeltaScorer:
         def monomial(t, sub) -> int:
             c = coeffs[t]
             ids = [const(c)] if c != 1 else []
-            for a, x in exps[t]:
-                v = pos[a]
+            for v, x in exps[t]:
                 x -= sub[v]
                 if x > 0:
                     i = factors[v].get(x)
@@ -842,9 +867,6 @@ class DeltaScorer:
                 _, t1, t2, si, nf = step
                 m1 = monomial(t1, subs[si])
                 m2 = monomial(t2, subs[si])
-                if not nf:
-                    push((K_SUM, [m1, m2]))
-                    continue
                 fs = vals[-nf:]
                 del vals[-nf:]
                 fs.append(intern(K_SUM, (m1, m2) if m1 < m2 else (m2, m1)))

@@ -6,7 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from opmin.expr import OpCount, naive_op_count, parse, variables
+from opmin.expr import OpCount, naive_op_count, parse, to_string, variables
 from opmin.horner import Direction, Scheme, scheme_to_string
 from opmin import mcts
 from opmin.cse import DeltaScorer, simplify
@@ -22,7 +22,7 @@ from opmin.mcts import (
     search,
     temperature,
 )
-from opmin.benchgen import RandomExprParams, random_expr, resultant_expr
+from opmin.benchgen import RandomExprParams, preset_expr, random_expr, resultant_expr
 
 from test_expr import WORKED
 
@@ -451,3 +451,43 @@ class TestPinnedResults:
         assert scheme_to_string(res.best_scheme, e.atoms) == scheme
         assert res.best_delta.total == 49
         assert res.iterations_run == 120
+
+
+class TestCancelledAtoms:
+    """Results do not depend on atom ids that are not variables.
+
+    ``a*b - a*b`` in front of a text interns two atoms that cancel, so every
+    variable's atom id rises by 2 while the expression stays the same.
+    """
+
+    @staticmethod
+    def pair(e):
+        text = to_string(e)
+        plain = parse(text)
+        shifted = parse("a*b - a*b" + (" " if text.startswith("-") else " + ") + text)
+        assert len(shifted.atoms) == len(plain.atoms) + 2
+        assert [a - 2 for a in variables(shifted)] == variables(plain) == list(range(len(plain.atoms)))
+        assert all(shifted.atoms.text(a + 2) == plain.atoms.text(a) for a in variables(plain))
+        return plain, shifted
+
+    def assert_same(self, plain, shifted, run):
+        a, b = run(plain), run(shifted)
+        assert b.deltas_per_iteration == a.deltas_per_iteration
+        assert b.best_delta == a.best_delta
+        assert scheme_to_string(b.best_scheme, shifted.atoms) == scheme_to_string(a.best_scheme, plain.atoms)
+        return a
+
+    @pytest.mark.parametrize("name", ["res32", "hep15"])
+    def test_search(self, name):
+        plain, shifted = self.pair(resultant_expr(3, 2) if name == "res32" else preset_expr("hep-like-15"))
+        for criterion in Criterion:
+            for direction in Direction:
+                for seed in range(3):
+                    p = params(n_updates=60, criterion=criterion, direction=direction, seed=seed)
+                    self.assert_same(plain, shifted, lambda e: search(e, p))
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_brute_force_on_res32(self, direction):
+        plain, shifted = self.pair(resultant_expr(3, 2))
+        res = self.assert_same(plain, shifted, lambda e: brute_force_search(e, direction))
+        assert res.best_delta.total == 34

@@ -18,10 +18,11 @@ heap. Every node must be reachable from a root, before and after ``run``
 and through both paths that make an arena, because ``live_op_count``
 counts the whole node table. The rewriter does not merge nodes, so a
 DAG on which an extraction would make two nodes identical, whose add/mul
-child lists are not strictly increasing, or on which an extracted pair's
-node is already a same-kind child, must raise ValueError. Set-up checks
-no arena, so every arena the scorer builds must meet that precondition
-by construction, on random, pinned and deep inputs.
+child lists are not strictly increasing, with a child that is not an
+earlier node or a root that is not a node, or on which an extracted
+pair's node is already a same-kind child, must raise ValueError. Set-up
+checks no arena, so every arena the scorer builds must meet that
+precondition by construction, on random, pinned and deep inputs.
 """
 
 import signal
@@ -292,6 +293,23 @@ def test_from_dag_rejects_identical_nodes():
     d = Dag([K_VAR, K_VAR, K_SUM, K_SUM, K_PROD], [(0,), (1,), (0, 1), (0, 1), (2, 3)], [4])
     with pytest.raises(ValueError, match="nodes 2 and 3 are identical"):
         _Rewriter.from_dag(d)
+
+
+@pytest.mark.parametrize(
+    "kinds, args, roots, message",
+    [
+        ([K_VAR, K_SUM, K_SUM], [(0,), (0, 2), (0, 1)], [1], r"node 1: add children \[0, 2\] are not all earlier"),
+        ([K_VAR, K_POW], [(0,), (1, 2)], [1], r"node 1: pow children \[1\] are not all earlier"),
+        ([K_VAR, K_VAR, K_SUM], [(0,), (1,), (-1, 0)], [2], r"node 2: add children \[-1, 0\] are not all earlier"),
+        ([K_VAR, K_SUM], [(0,), (0, 5)], [1], r"node 1: add children \[0, 5\] are not all earlier"),
+        ([K_VAR], [(0,)], [3], r"roots \[3\] are not all node ids"),
+    ],
+    ids=["sums-hold-each-other", "power-of-itself", "negative-child", "child-past-table", "root-past-table"],
+)
+def test_from_dag_rejects_children_not_all_earlier_nodes_and_roots_past_the_table(kinds, args, roots, message):
+    # Accepted, these would make ``compact`` loop or index the wrong node.
+    with pytest.raises(ValueError, match=message):
+        _Rewriter.from_dag(Dag(kinds, args, roots))
 
 
 @pytest.mark.parametrize(
