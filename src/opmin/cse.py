@@ -282,11 +282,12 @@ class _Rewriter:
     has both sets.
 
     ``from_dag`` raises ValueError on a DAG with two identical nodes, an
-    add/mul child list that is not strictly increasing, or a child that is
-    not an earlier node, at the defect with the lower node id, and then on
-    a root that is not a node id. ``extract`` raises, before it changes
-    any node, when p already existed and is in ``inner``: it has had a
-    parent of its own kind. Only then can a pair (c, p) predate the
+    add/mul child list that is not strictly increasing, a child that is
+    not an earlier node, an add/mul node with no children or a pow node
+    whose exponent is below 1, at the defect with the lower node id, and
+    then on a root that is not a node id. ``extract`` raises, before it
+    changes any node, when p already existed and is in ``inner``: it has
+    had a parent of its own kind. Only then can a pair (c, p) predate the
     extraction and p's parent set miss a node. The check also covers a
     target that already holds p, and a target rewritten into a copy of
     another node, which holds p too (two targets would have been
@@ -336,10 +337,12 @@ class _Rewriter:
 
         One pass over the nodes copies each one, raises ValueError at the
         first node that is identical to an earlier one, has an add/mul
-        child list that is not strictly increasing, or has a child (a pow
-        base included) that is not an earlier node, and records in
-        ``inner`` every child of an add/mul node of the same kind. Then it
-        raises ValueError on a root that is not a node id.
+        child list that is not strictly increasing, has a child (a pow
+        base included) that is not an earlier node, or would count below
+        zero: an add/mul node with no children or a pow node whose exponent
+        is below 1. It records in ``inner`` every child of an add/mul node
+        of the same kind. Then it raises ValueError on a root that is not a
+        node id.
         """
         index = {}
         inner = set()
@@ -354,6 +357,8 @@ class _Rewriter:
             children = a if k in _AC else a[:1] if k == K_POW else ()
             if children and not (0 <= children[0] and children[-1] < i):
                 raise ValueError(f"node {i}: {_KIND_NAMES[k]} children {list(children)} are not all earlier nodes")
+            if (k in _AC and not a) or (k == K_POW and a[1] < 1):
+                raise ValueError(f"node {i}: {_KIND_NAMES[k]} args {list(a)} would count below zero")
             if k in _AC:
                 inner.update(c for c in a if d.kinds[c] == k)
         if not all(0 <= r < len(index) for r in d.roots):

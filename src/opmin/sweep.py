@@ -18,11 +18,12 @@ order even when computed concurrently.
 
 All runs of a sweep share one score cache, the scorer's ``cache`` of
 counts per order and per decision trace. With several worker processes the
-parent holds it: each task carries the entries its worker has not been
-sent yet, and each result brings back the entries the worker computed, so
-an order's decisions are walked, and a trace's arena interned and
-eliminated, about once per sweep rather than once per worker. The counts
-are exact, so the rows do not depend on which process scored what.
+parent holds it: each result brings back the tail of the worker's cache
+that its search added, and each task carries the tail of the parent's
+cache since that worker last synced, so an order's decisions are walked,
+and a trace's arena interned and eliminated, about once per sweep rather
+than once per worker. The counts are exact, so the rows do not depend on
+which process scored what.
 """
 
 from __future__ import annotations
@@ -148,13 +149,23 @@ def run_sweep(
     return _run_in_workers(e, config, tasks, workers, scorer)
 
 
+def _tail(cache: dict, start: int) -> list:
+    """``(key, counts)`` of the entries *cache* gained since it held *start*.
+
+    A dict keeps insertion order, so those are its last entries; their keys
+    are read backwards, and ``items()`` is never called.
+    """
+    keys = list(islice(reversed(cache), len(cache) - start))
+    return [(key, cache[key]) for key in reversed(keys)]
+
+
 def _worker(conn, parent_end, e: Expression, config: SweepConfig, scorer: DeltaScorer) -> None:
     """Run the samples the parent sends until it sends None or is gone.
 
     *scorer* is the caller's, inherited under fork and pickled once under
     spawn. A task is ``((k, cp), entries)``; the entries go into its cache
     before the search. The reply is ``(True, (row, new))``, where ``new``
-    is the tail of the insertion-ordered cache that the search added, or
+    is the tail of the cache that the search added, or
     ``(False, (exception, traceback text))``. ``parent_end`` is this
     worker's copy of the parent's end of the pipe; closing it lets ``recv``
     see end-of-file once the parent has exited.
@@ -171,9 +182,7 @@ def _worker(conn, parent_end, e: Expression, config: SweepConfig, scorer: DeltaS
             except Exception as exc:
                 conn.send((False, (exc, traceback.format_exc())))
                 return
-            new = list(islice(reversed(cache.items()), len(cache) - known))
-            new.reverse()
-            conn.send((True, (row, new)))
+            conn.send((True, (row, _tail(cache, known))))
     except (EOFError, OSError):
         return  # the parent has exited
 
@@ -182,10 +191,16 @@ def _run_in_workers(e, config, tasks, workers: int, scorer: DeltaScorer) -> list
     """Rows of *tasks*, run one sample at a time by each of *workers* processes.
 
     The parent holds the one cache, *scorer*'s, which each worker starts
-    from: a task carries the entries its worker has not been sent yet, and
-    a result's entries are added here and queued for the other workers. A
-    search makes the same scorer calls whether they hit or miss, so a row
-    does not depend on which worker ran it or on what it had been sent.
+    from, and ``synced[w]``, the length of that cache when worker w last
+    had all of it: at the start, and after each of its replies. When w
+    replies, the parent sends w its next task with the cache's tail from
+    ``synced[w]``, and only then adds w's entries and sets ``synced[w]``
+    to the new length. Only this loop adds to the cache, and ``update``
+    appends only the keys it lacks, so that tail is exactly the entries
+    that the other workers brought since w last synced, in the order they
+    came, and none of w's own. A search makes the same scorer calls
+    whether they hit or miss, so a row does not depend on which worker ran
+    it or on what it had been sent.
     """
     import multiprocessing as mp
     from multiprocessing.connection import wait
@@ -193,7 +208,7 @@ def _run_in_workers(e, config, tasks, workers: int, scorer: DeltaScorer) -> list
     ctx = mp.get_context()
     conns, procs = [], []
     cache = scorer.cache
-    unsent = [[] for _ in range(workers)]
+    synced = [len(cache)] * workers
     pending = iter(tasks)
     busy: dict = {}  # connection -> worker index
     rows: list[SweepRow] = []
@@ -201,8 +216,7 @@ def _run_in_workers(e, config, tasks, workers: int, scorer: DeltaScorer) -> list
     def send_next(w: int) -> None:
         task = next(pending, None)
         if task is not None:
-            conns[w].send((task, unsent[w]))
-            unsent[w] = []
+            conns[w].send((task, _tail(cache, synced[w])))
             busy[conns[w]] = w
 
     try:
@@ -230,13 +244,9 @@ def _run_in_workers(e, config, tasks, workers: int, scorer: DeltaScorer) -> list
                     raise exc from RuntimeError(f"in sweep worker {w}:\n{tb}")
                 row, entries = payload
                 rows.append(row)
-                for key, counts in entries:
-                    if key not in cache:
-                        cache[key] = counts
-                        for other in range(workers):
-                            if other != w:
-                                unsent[other].append((key, counts))
                 send_next(w)
+                cache.update(entries)
+                synced[w] = len(cache)
         for conn in conns:
             conn.send(None)
     except BaseException:

@@ -19,8 +19,9 @@ and through both paths that make an arena, because ``live_op_count``
 counts the whole node table. The rewriter does not merge nodes, so a
 DAG on which an extraction would make two nodes identical, whose add/mul
 child lists are not strictly increasing, with a child that is not an
-earlier node or a root that is not a node, or on which an extracted
-pair's node is already a same-kind child, must raise ValueError. Set-up
+earlier node or a root that is not a node, with an add/mul node that
+has no children or a power below 1, or on which an extracted pair's node
+is already a same-kind child, must raise ValueError. Set-up
 checks no arena, so every arena the scorer builds must meet that
 precondition by construction, on random, pinned and deep inputs.
 """
@@ -310,6 +311,29 @@ def test_from_dag_rejects_children_not_all_earlier_nodes_and_roots_past_the_tabl
     # Accepted, these would make ``compact`` loop or index the wrong node.
     with pytest.raises(ValueError, match=message):
         _Rewriter.from_dag(Dag(kinds, args, roots))
+
+
+@pytest.mark.parametrize(
+    "kinds, args, message",
+    [
+        ([K_SUM], [()], r"node 0: add args \[\] would count below zero"),
+        ([K_PROD], [()], r"node 0: mul args \[\] would count below zero"),
+        ([K_VAR, K_POW], [(0,), (0, -3)], r"node 1: pow args \[0, -3\] would count below zero"),
+        ([K_VAR, K_POW], [(0,), (0, 0)], r"node 1: pow args \[0, 0\] would count below zero"),
+    ],
+    ids=["empty-sum", "empty-product", "negative-exponent", "zero-exponent"],
+)
+def test_from_dag_rejects_nodes_that_count_below_zero(kinds, args, message):
+    # Accepted, these count -1, -1, -4 and -1 operations.
+    with pytest.raises(ValueError, match=message):
+        _Rewriter.from_dag(Dag(kinds, args, [len(kinds) - 1]))
+
+
+def test_from_dag_accepts_one_child_sums_and_products_and_a_first_power():
+    # Each of these counts 0, so none is refused.
+    for kind, arg in [(K_SUM, (0,)), (K_PROD, (0,)), (K_POW, (0, 1))]:
+        d = Dag([K_VAR, kind], [(0,), arg], [1])
+        assert _Rewriter.from_dag(d).live_op_count() == (0, 0)
 
 
 @pytest.mark.parametrize(

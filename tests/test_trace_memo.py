@@ -11,8 +11,10 @@ which only a trace miss runs. These tests check that the memoized score
 equals a fresh build, elimination and count; that equal traces give equal
 plans and arenas; that the build itself is node for node what it was
 before the trace was added; that the memo engages on the whole res(3,2)
-landscape, where only a trace miss interns; and that the garbage collector
-tracks no entry of a plan.
+landscape, where only a trace miss interns; that a memo filled with every
+order is the landscape's table and its scorer, so searches, sweeps and the
+brute-force minimum read it and walk no order; and that the garbage
+collector tracks no entry of a plan.
 """
 
 import gc
@@ -25,6 +27,9 @@ import pytest
 from opmin.benchgen import preset_expr, resultant_expr
 from opmin.cse import DeltaScorer, _Rewriter
 from opmin.expr import AtomTable, Expression, Term, variables
+from opmin.horner import Direction
+from opmin.mcts import Criterion, SearchParams, brute_force_search, search
+from opmin.sweep import SweepConfig, run_sweep
 
 from test_expr import random_expression
 
@@ -73,6 +78,38 @@ def test_res32_landscape_is_pinned_and_scores_each_trace_once(eliminations):
     # than a fifth as many.
     assert eliminations[0] == len(trace_keys(scorer)) == 828 < 5040 // 5
     assert len(scorer.cache) == 5040 + 828
+
+
+def test_a_memo_of_every_order_is_the_table_and_its_scorer(monkeypatch):
+    e = resultant_expr(3, 2)
+    orders = list(permutations(variables(e)))
+    cases = [
+        SearchParams(cp=0.3, n_updates=100, criterion=criterion, direction=direction, seed=seed)
+        for criterion in Criterion
+        for direction in Direction
+        for seed in range(25)
+    ]
+    config = SweepConfig(cp_min=0.01, cp_max=10.0, samples=8, n_updates=40)
+    twins = [search(e, params) for params in cases]
+    rows = run_sweep(e, config, jobs=1)
+    memo = DeltaScorer(e)
+    for order in orders:
+        memo.delta(order)
+    assert len(memo.cache) == 5040 + 828
+    # With every order's count known, nothing is walked, interned or added.
+    walks = count_calls(monkeypatch, DeltaScorer, "_plan")
+    assert [search(e, params, scorer=memo) for params in cases] == twins
+    assert run_sweep(e, config, jobs=2, scorer=memo) == rows
+    assert walks[0] == 0
+    assert len(memo.cache) == 5040 + 828
+    for direction in Direction:
+        flip = direction is Direction.BACKWARD
+        totals = {order: sum(memo.cache[order[::-1] if flip else order]) for order in orders}
+        best = min(orders, key=totals.__getitem__)  # the lex-first argmin
+        result = brute_force_search(e, direction)
+        assert result.best_scheme.order == best
+        assert result.best_delta.total == totals[best] == 34
+        assert sum(total == 34 for total in totals.values()) == 54
 
 
 def test_only_a_trace_miss_interns_an_arena(monkeypatch, eliminations):
