@@ -23,13 +23,17 @@ search, and bruteforce with --format json, print one JSON result record:
 best_total, best_mul, best_add, scheme (the order as "a,b"), direction
 ("forward" or "backward"), then criterion ("uct" or "sa-uct"), cp,
 n_updates, repeats, seed (search) or schemes_evaluated (bruteforce).
-sweep writes one CSV row per run, in sample order, with the columns
-sample, cp, criterion, n_updates, direction, seed, ops_total, ops_mul,
-ops_add, scheme; with --format json it writes a list of rows whose keys
-are the same names. analyze reports the keys samples, cp_min, cp_max,
-global_min_ops, epsilon, bins, bin_log_width, roi_log_width,
-roi_cp_interval (the [low, high] C_p band, or null when all cp values are
-equal); with --format csv it writes a key,value header, then one row per
+sweep runs sample k at point k mod G of a grid of G cp values, spaced
+evenly in log cp from --cp-min to --cp-max, and with seed --seed plus k;
+G = min(--samples, 1 + ceil(10 log10(cp_max / cp_min))), a spacing of
+0.1 decade or finer when --samples allows. It writes one CSV row per
+run, in sample order, with the columns sample, cp, criterion, n_updates,
+direction, seed, ops_total, ops_mul, ops_add, scheme; with --format json
+it writes a list of rows whose keys are the same names. analyze reports
+the keys samples, cp_min, cp_max, global_min_ops, epsilon, points,
+roi_log_width, roi_cp_interval (the [low, high] C_p band, [cp, cp] when
+all cp values are equal), where points is the number of distinct cp
+values; with --format csv it writes a key,value header, then one row per
 key whose value is the JSON text of the value.
 """
 
@@ -131,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=1, help="independent runs, best kept")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("sweep", help="many runs over log-uniform cp values; CSV out")
+    p = sub.add_parser("sweep", help="many runs over a log-spaced cp grid; CSV out")
     p.add_argument("exprfile")
     p.add_argument("--cp-min", type=float, default=0.01)
     p.add_argument("--cp-max", type=float, default=10.0)

@@ -339,8 +339,9 @@ class _Rewriter:
         first node that is identical to an earlier one, has an add/mul
         child list that is not strictly increasing, has a child (a pow
         base included) that is not an earlier node, or would count below
-        zero: an add/mul node with no children or a pow node whose exponent
-        is below 1. It records in ``inner`` every child of an add/mul node
+        zero: an add node with no children, a mul node whose children are
+        all +-1 constants (none included), or a pow node whose exponent is
+        below 1. It records in ``inner`` every child of an add/mul node
         of the same kind. Then it raises ValueError on a root that is not a
         node id.
         """
@@ -357,7 +358,11 @@ class _Rewriter:
             children = a if k in _AC else a[:1] if k == K_POW else ()
             if children and not (0 <= children[0] and children[-1] < i):
                 raise ValueError(f"node {i}: {_KIND_NAMES[k]} children {list(children)} are not all earlier nodes")
-            if (k in _AC and not a) or (k == K_POW and a[1] < 1):
+            if (
+                (k == K_SUM and not a)
+                or (k == K_POW and a[1] < 1)
+                or (k == K_PROD and all(d.kinds[c] == K_CONST and d.args[c][0] in (1, -1) for c in a))
+            ):
                 raise ValueError(f"node {i}: {_KIND_NAMES[k]} args {list(a)} would count below zero")
             if k in _AC:
                 inner.update(c for c in a if d.kinds[c] == k)

@@ -1,20 +1,22 @@
 """Sensitivity sweeps over the exploration constant, plus ROI analysis.
 
-A sweep runs many independent searches with log-uniformly sampled C_p
-values and emits one CSV row per run. Its region of interest (ROI) is the
-widest contiguous band of C_p, measured in log units over ROI_BINS equal
-bins of the sampled log(C_p) range, in which every bin holds a run within
-(1+epsilon) of the sweep's minimum operation count. Comparing this width
-between selection criteria quantifies how much a decaying temperature
-widens the usable C_p range; ``analyze_rows`` reports it.
+A sweep runs many independent searches on a grid of C_p values, spaced
+evenly in log C_p from cp_min to cp_max, and emits one CSV row per run.
+Each grid point's cell of log C_p reaches halfway to its neighbouring
+points and ends at the outermost points. The sweep's region of interest
+(ROI) is the widest run of consecutive points that each hold a run within
+(1+epsilon) of the sweep's minimum operation count, and its width is the
+length of their cells in log units. Comparing this width between selection
+criteria quantifies how much a decaying temperature widens the usable C_p
+range; ``analyze_rows`` reports it.
 
 ``SweepRow`` defines the schema of a sweep record in CSV and JSON: its
 fields, in order, are the CSV columns (``CSV_HEADER``) and the keys of a
 JSON row, and ``read_csv`` converts each cell to its field's declared type.
 
-Everything is deterministic in the configuration: C_p values come from one
-seeded stream, run k uses seed base_seed+k, and rows are emitted in sample
-order even when computed concurrently.
+Everything is deterministic in the configuration: run k uses grid point
+k mod G and seed base_seed+k, and rows are emitted in sample order even
+when computed concurrently.
 
 All runs of a sweep share one score cache, the scorer's ``cache`` of
 counts per order and per decision trace. With several worker processes the
@@ -35,14 +37,12 @@ import typing
 from dataclasses import astuple, dataclass, fields
 from itertools import islice
 
-import numpy as np
-
 from .expr import Expression
 from .horner import Direction, order_to_string
 from .cse import DeltaScorer
 from .mcts import Criterion, SearchParams, search
 
-ROI_BINS = 50
+POINTS_PER_DECADE = 10  # or more: a spacing of 0.1 decade of C_p or finer, when samples allow
 DEFAULT_EPSILON = 0.05
 
 
@@ -91,11 +91,20 @@ _LABELS = {"criterion": [c.value for c in Criterion], "direction": [d.value for 
 _LEAST = {"sample": 0, "n_updates": 1, "seed": 0, "ops_total": 0, "ops_mul": 0, "ops_add": 0}
 
 
-def sample_cps(config: SweepConfig) -> list[float]:
-    """Log-uniform C_p draws; one seeded stream, independent of run seeds."""
-    rng = np.random.Generator(np.random.PCG64(config.base_seed))
-    lo, hi = math.log(config.cp_min), math.log(config.cp_max)
-    return [float(math.exp(v)) for v in rng.uniform(lo, hi, config.samples)]
+def cp_grid(config: SweepConfig) -> list[float]:
+    """The sweep's G C_p points, evenly spaced in log C_p, in increasing order.
+
+    G = min(samples, 1 + ceil(POINTS_PER_DECADE * log10(cp_max / cp_min))).
+    The first point is cp_min and, when G > 1, the last is cp_max, exactly.
+    """
+    lo, hi = config.cp_min, config.cp_max
+    # Differences of logs: hi / lo overflows on a range of over 308 decades.
+    g = min(config.samples, 1 + math.ceil(POINTS_PER_DECADE * (math.log10(hi) - math.log10(lo))))
+    if g == 1:
+        return [lo]
+    start = math.log(lo)
+    step = (math.log(hi) - start) / (g - 1)
+    return [lo, *(math.exp(start + i * step) for i in range(1, g - 1)), hi]
 
 
 def _run_sample(e: Expression, config: SweepConfig, k: int, cp: float, scorer) -> SweepRow:
@@ -142,7 +151,8 @@ def run_sweep(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if scorer is None:
         scorer = DeltaScorer(e)
-    tasks = list(enumerate(sample_cps(config)))
+    cps = cp_grid(config)
+    tasks = [(k, cps[k % len(cps)]) for k in range(config.samples)]
     workers = min(jobs, len(tasks))
     if workers == 1:
         return [_run_sample(e, config, k, cp, scorer) for k, cp in tasks]
@@ -321,45 +331,41 @@ def read_csv(fh) -> list[SweepRow]:
 def analyze_rows(rows, epsilon: float = DEFAULT_EPSILON) -> dict:
     """Summary record for one sweep: global best and region of interest.
 
-    The rows' log(cp) range [lo, hi] is cut into ROI_BINS bins of width
-    w = (hi - lo) / ROI_BINS; a row falls in bin min(int((log cp - lo) / w),
-    ROI_BINS - 1), or in bin 0 when all cp values are equal (w = 0). A bin is
-    good when one of its rows has ops_total at most (1+epsilon) times the
-    global minimum, so an empty bin is not good. The ROI is the longest run
-    of consecutive good bins, the first of equally long runs; its log width is
-    the run's length times w, and its C_p interval is None when w = 0. Raises
-    ValueError for an epsilon that is not positive and finite, or for no rows.
+    The rows' points are their distinct cp values; CSV floats round-trip by
+    repr, so rows read back group as they were written. Point i's cell of
+    log cp reaches halfway to each neighbouring point and ends at the
+    outermost points. A point is good when one of its rows has ops_total at
+    most (1+epsilon) times the global minimum. The ROI is the longest run of
+    consecutive good points, the first of equally long runs; its C_p
+    interval is the ends of their cells, and its log width the length of
+    those cells: one grid spacing per interior point, and 0 with one point.
+    Raises ValueError for an epsilon that is not positive and finite, or for
+    no rows.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be positive and finite")
     if not rows:
         raise ValueError("no sweep rows")
-    logs = [math.log(r.cp) for r in rows]
-    lo, hi = min(logs), max(logs)
-    width = (hi - lo) / ROI_BINS if hi > lo else 0.0
+    points = sorted({r.cp for r in rows})
     global_min = min(r.ops_total for r in rows)
     threshold = (1.0 + epsilon) * global_min
-    good = [False] * ROI_BINS
-    for r, lg in zip(rows, logs):
-        if r.ops_total <= threshold:
-            idx = min(int((lg - lo) / width), ROI_BINS - 1) if width else 0
-            good[idx] = True
-    # The global minimum's bin is good, so the longest run has a bin or more.
+    good = {r.cp for r in rows if r.ops_total <= threshold}
+    # The global minimum's point is good, so the longest run has a point or more.
     best_len = best_start = run = 0
-    for i, g in enumerate(good):
-        run = run + 1 if g else 0
+    for i, cp in enumerate(points):
+        run = run + 1 if cp in good else 0
         if run > best_len:
             best_len, best_start = run, i + 1 - run
-    ends = (best_start, best_start + best_len)
-    interval = [math.exp(lo + k * width) for k in ends] if width else None
+    logs = [math.log(cp) for cp in points]
+    cuts = [points[0], *(math.exp((a + b) / 2) for a, b in zip(logs, logs[1:])), points[-1]]
+    lo, hi = cuts[best_start], cuts[best_start + best_len]
     return {
         "samples": len(rows),
-        "cp_min": min(r.cp for r in rows),
-        "cp_max": max(r.cp for r in rows),
+        "cp_min": points[0],
+        "cp_max": points[-1],
         "global_min_ops": global_min,
         "epsilon": epsilon,
-        "bins": ROI_BINS,
-        "bin_log_width": width,
-        "roi_log_width": best_len * width,
-        "roi_cp_interval": interval,
+        "points": len(points),
+        "roi_log_width": math.log(hi) - math.log(lo),
+        "roi_cp_interval": [lo, hi],
     }

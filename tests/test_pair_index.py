@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from opmin.benchgen import preset_expr, resultant_expr
-from opmin.cse import K_POW, K_PROD, K_SUM, K_VAR, Dag, DeltaScorer, _Rewriter, build_dag, simplify
+from opmin.cse import K_CONST, K_POW, K_PROD, K_SUM, K_VAR, Dag, DeltaScorer, _Rewriter, build_dag, simplify
 from opmin.expr import OpCount, parse, variables
 from opmin.horner import Direction, Scheme, apply_scheme, effective_order, occurrence_order
 
@@ -304,8 +304,16 @@ def test_from_dag_rejects_identical_nodes():
         ([K_VAR, K_VAR, K_SUM], [(0,), (1,), (-1, 0)], [2], r"node 2: add children \[-1, 0\] are not all earlier"),
         ([K_VAR, K_SUM], [(0,), (0, 5)], [1], r"node 1: add children \[0, 5\] are not all earlier"),
         ([K_VAR], [(0,)], [3], r"roots \[3\] are not all node ids"),
+        ([K_CONST, K_PROD], [(1,), (0, 5)], [1], r"node 1: mul children \[0, 5\] are not all earlier"),
     ],
-    ids=["sums-hold-each-other", "power-of-itself", "negative-child", "child-past-table", "root-past-table"],
+    ids=[
+        "sums-hold-each-other",
+        "power-of-itself",
+        "negative-child",
+        "child-past-table",
+        "root-past-table",
+        "sign-times-child-past-table",
+    ],
 )
 def test_from_dag_rejects_children_not_all_earlier_nodes_and_roots_past_the_table(kinds, args, roots, message):
     # Accepted, these would make ``compact`` loop or index the wrong node.
@@ -320,11 +328,13 @@ def test_from_dag_rejects_children_not_all_earlier_nodes_and_roots_past_the_tabl
         ([K_PROD], [()], r"node 0: mul args \[\] would count below zero"),
         ([K_VAR, K_POW], [(0,), (0, -3)], r"node 1: pow args \[0, -3\] would count below zero"),
         ([K_VAR, K_POW], [(0,), (0, 0)], r"node 1: pow args \[0, 0\] would count below zero"),
+        ([K_CONST, K_PROD], [(1,), (0,)], r"node 1: mul args \[0\] would count below zero"),
+        ([K_CONST, K_CONST, K_PROD], [(1,), (-1,), (0, 1)], r"node 2: mul args \[0, 1\] would count below zero"),
     ],
-    ids=["empty-sum", "empty-product", "negative-exponent", "zero-exponent"],
+    ids=["empty-sum", "empty-product", "negative-exponent", "zero-exponent", "product-of-one", "product-of-signs"],
 )
 def test_from_dag_rejects_nodes_that_count_below_zero(kinds, args, message):
-    # Accepted, these count -1, -1, -4 and -1 operations.
+    # Accepted, these count -1, -1, -4, -1, -1 and -1 operations.
     with pytest.raises(ValueError, match=message):
         _Rewriter.from_dag(Dag(kinds, args, [len(kinds) - 1]))
 
@@ -334,6 +344,9 @@ def test_from_dag_accepts_one_child_sums_and_products_and_a_first_power():
     for kind, arg in [(K_SUM, (0,)), (K_PROD, (0,)), (K_POW, (0, 1))]:
         d = Dag([K_VAR, kind], [(0,), arg], [1])
         assert _Rewriter.from_dag(d).live_op_count() == (0, 0)
+    # A sign times a variable counts 0 too: one factor is not a +-1 constant.
+    d = Dag([K_CONST, K_VAR, K_PROD], [(-1,), (0,), (0, 1)], [2])
+    assert _Rewriter.from_dag(d).live_op_count() == (0, 0)
 
 
 @pytest.mark.parametrize(

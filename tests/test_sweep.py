@@ -24,9 +24,9 @@ from opmin.sweep import (
     SweepConfig,
     SweepRow,
     analyze_rows,
+    cp_grid,
     read_csv,
     run_sweep,
-    sample_cps,
     write_csv,
 )
 from opmin.benchgen import RandomExprParams, random_expr, resultant_expr
@@ -93,15 +93,42 @@ class TestRunSweep:
         cfg = small_config(samples=8)
         assert run_sweep(e, cfg, jobs=2) == run_sweep(e, cfg, jobs=1)
 
-    def test_cp_values_are_log_uniform_in_range(self):
-        cfg = small_config(samples=400)
-        cps = sample_cps(cfg)
-        assert all(cfg.cp_min <= c <= cfg.cp_max for c in cps)
-        logs = sorted(math.log(c) for c in cps)
-        # spread across the log range rather than bunched at one end
-        assert logs[len(logs) // 2] == pytest.approx(
-            (math.log(cfg.cp_min) + math.log(cfg.cp_max)) / 2, abs=1.0
-        )
+    @pytest.mark.parametrize(
+        "cp_min, cp_max, samples, points",
+        [
+            (0.01, 10.0, 4000, 31),
+            (1e-3, 1e3, 4000, 61),
+            (1e-3, 1e3, 61, 61),
+            (0.01, 10.0, 7, 7),
+            (0.5, 0.6, 9, 2),
+            (1e-300, 1e300, 5, 5),
+        ],
+        ids=["three-decades", "six-decades", "six-decades-61-samples", "7-samples", "under-a-tenth", "600-decades"],
+    )
+    def test_cp_grid_is_log_spaced_from_cp_min_to_cp_max(self, cp_min, cp_max, samples, points):
+        # One point more than the range's tenths of a decade, rounded up, or
+        # samples points if that is fewer.
+        cps = cp_grid(small_config(cp_min=cp_min, cp_max=cp_max, samples=samples))
+        assert len(cps) == points
+        assert cps[0] == cp_min and cps[-1] == cp_max
+        step = (math.log(cp_max) - math.log(cp_min)) / (points - 1)
+        assert [math.log(b / a) for a, b in zip(cps, cps[1:])] == pytest.approx([step] * (points - 1))
+
+    def test_one_sample_runs_at_cp_min(self):
+        assert cp_grid(small_config(samples=1)) == [0.01]
+
+    @pytest.mark.parametrize("samples", [40, 62])
+    def test_run_k_uses_point_k_mod_g_and_seed_base_plus_k(self, samples):
+        e = parse(WORKED)
+        cfg = small_config(samples=samples, n_updates=5)
+        rows = run_sweep(e, cfg, jobs=2)
+        assert rows == run_sweep(e, cfg, jobs=1)
+        cps = cp_grid(cfg)
+        assert len(cps) == 31
+        assert [(r.sample, r.cp, r.seed) for r in rows] == [(k, cps[k % 31], 7 + k) for k in range(samples)]
+        # Each point holds floor or ceil of samples / G rows.
+        per_point = [sum(r.cp == cp for r in rows) for cp in cps]
+        assert set(per_point) == {samples // 31, -(-samples // 31)}
 
     def test_each_row_seed_offsets_base(self):
         e = parse(WORKED)
@@ -446,17 +473,30 @@ class TestRoi:
         full = math.log(cps[-1]) - math.log(cps[0])
         assert analyze_rows(rows, 0.05)["roi_log_width"] == pytest.approx(full)
 
-    def test_single_good_bin(self):
-        # 50 samples, one per bin; only one bin within 5% of the minimum
-        cps = [math.exp(i / 49 * 5.0) for i in range(50)]
-        totals = [100] * 50
-        totals[20] = 50
-        rows = synthetic_rows(cps, totals)
-        width = 5.0 / 50
-        assert analyze_rows(rows, 0.05)["roi_log_width"] == pytest.approx(width)
-        lo, hi = analyze_rows(rows, 0.05)["roi_cp_interval"]
-        assert math.log(lo) == pytest.approx(20 * width)
-        assert math.log(hi) == pytest.approx(21 * width)
+    @pytest.mark.parametrize(
+        "logs, good, ends",
+        [
+            # An interior point's cell reaches halfway to each neighbour:
+            # one spacing on an even grid.
+            ([0, 1, 2, 3, 4], 2, (1.5, 2.5)),
+            # An end point's cell stops at the point: half a spacing.
+            ([0, 1, 2, 3, 4], 0, (0.0, 0.5)),
+            ([0, 1, 2, 3, 4], 4, (3.5, 4.0)),
+            # On an uneven grid, half of each neighbouring gap.
+            ([0, 1, 3, 4], 2, (2.0, 3.5)),
+        ],
+        ids=["interior", "first", "last", "uneven"],
+    )
+    def test_single_good_point(self, logs, good, ends):
+        # Two rows per point; only one row, at one point, is within 5% of
+        # the minimum, and that row makes its point good.
+        cps = [math.exp(lg) for lg in logs for _ in range(2)]
+        totals = [100] * len(cps)
+        totals[2 * good + 1] = 50
+        rep = analyze_rows(synthetic_rows(cps, totals), 0.05)
+        assert rep["points"] == len(logs)
+        assert rep["roi_log_width"] == pytest.approx(ends[1] - ends[0])
+        assert [math.log(c) for c in rep["roi_cp_interval"]] == pytest.approx(list(ends))
 
     def test_monotone_in_epsilon(self):
         rng = np.random.default_rng(0)
@@ -467,20 +507,35 @@ class TestRoi:
         assert all(a <= b for a, b in zip(widths, widths[1:]))
 
     def test_contiguity_matters(self):
-        # good bins at both ends, bad in the middle: width is one end only
-        cps = [math.exp(i / 49 * 10.0) for i in range(50)]
-        totals = [100] * 50
-        for i in range(0, 10):
-            totals[i] = 50
-        for i in range(40, 50):
-            totals[i] = 50
-        rows = synthetic_rows(cps, totals)
-        assert analyze_rows(rows, 0.05)["roi_log_width"] == pytest.approx(10 * 10.0 / 50)
+        # Points at log cp 0..10; good runs 0..3 and 7..10, bad in the
+        # middle. Each run is 3.5 log units wide, so the ROI is the first.
+        cps = [math.exp(i) for i in range(11)]
+        totals = [50] * 4 + [100] * 3 + [50] * 4
+        rep = analyze_rows(synthetic_rows(cps, totals), 0.05)
+        assert rep["roi_log_width"] == pytest.approx(3.5)
+        assert rep["roi_cp_interval"][0] == 1.0
+        assert math.log(rep["roi_cp_interval"][1]) == pytest.approx(3.5)
 
-    def test_empty_bins_break_runs(self):
-        rows = synthetic_rows([math.exp(0.0), math.exp(5.0)], [10, 10])
-        # 48 interior bins are empty; longest good run is a single bin
-        assert analyze_rows(rows, 0.05)["roi_log_width"] == pytest.approx(5.0 / 50)
+    def test_old_style_rows_one_per_cp_analyze(self):
+        # A sweep that drew C_p at random has one row per point. Good points
+        # at cp 0.3 and 7: the ROI runs from halfway between 0.02 and 0.3 to 7.
+        lines = [
+            ",".join(CSV_HEADER),
+            "0,7.0,uct,10,forward,0,10,9,1,x",
+            "1,0.02,uct,10,forward,1,50,49,1,x",
+            "2,0.3,uct,10,forward,2,10,9,1,x",
+        ]
+        text = "\n".join(lines) + "\n"
+        rep = analyze_rows(read_csv(io.StringIO(text)), 0.05)
+        assert rep["points"] == 3
+        assert rep["roi_cp_interval"][0] == pytest.approx(math.sqrt(0.02 * 0.3))
+        assert rep["roi_cp_interval"][1] == 7.0
+        assert rep["roi_log_width"] == pytest.approx(math.log(7.0) - (math.log(0.02) + math.log(0.3)) / 2)
+
+    def test_csv_round_trip_keeps_the_report(self):
+        e = parse(WORKED)
+        rows = run_sweep(e, small_config(samples=40, n_updates=5))
+        assert analyze_rows(read_csv(io.StringIO(csv_bytes(rows)))) == analyze_rows(rows)
 
     def test_requires_rows_and_positive_epsilon(self):
         with pytest.raises(ValueError):
@@ -498,11 +553,12 @@ class TestRoi:
             analyze_rows(synthetic_rows([1.0, 2.0], [5, 3]), epsilon)
 
     def test_degenerate_range(self):
+        # One point: its cell is the point itself.
         rep = analyze_rows(synthetic_rows([1.0, 1.0], [5, 3]))
-        assert rep["bin_log_width"] == 0.0
+        assert rep["points"] == 1
         assert rep["global_min_ops"] == 3
         assert rep["roi_log_width"] == 0.0
-        assert rep["roi_cp_interval"] is None
+        assert rep["roi_cp_interval"] == [1.0, 1.0]
 
     def test_analyze_report(self):
         cps = [math.exp(i / 49 * 5.0) for i in range(50)]
@@ -515,42 +571,43 @@ class TestRoi:
 
 
 def fixed_sweep_csv() -> str:
-    """120 rows over [0.01, 10]: a 4-sample dip to 48, a wider band near 50."""
+    """62 rows, two per point of a 31-point grid over [0.01, 10], as a sweep
+    writes them: a dip to 48 at points 10-12 on one row each, and a wider
+    band of points 18-22 at 50.
+    """
     lines = [",".join(CSV_HEADER)]
-    for i in range(120):
-        pos = i * 37 % 120
-        cp = 10 ** (-2 + 3 * pos / 119)
-        total = 48 if 10 <= pos <= 13 else 50 + abs(pos - 70) // 6
+    for i in range(62):
+        pos = i % 31
+        cp = 10 ** (-2 + pos / 10)
+        total = 48 if 10 <= pos <= 12 and i < 31 else 50 + abs(pos - 20) // 3
         lines.append(f'{i},{cp!r},sa-uct,25,forward,{i},{total},{total - 9},9,"x,y"')
     return "\n".join(lines) + "\n"
 
 
 ANALYZE_JSON = """{
-  "samples": 120,
+  "samples": 62,
   "cp_min": 0.01,
   "cp_max": 10.0,
   "global_min_ops": 48,
   "epsilon": 0.05,
-  "bins": 50,
-  "bin_log_width": 0.13815510557964272,
-  "roi_log_width": 0.6907755278982136,
+  "points": 31,
+  "roi_log_width": 1.151292546497023,
   "roi_cp_interval": [
-    0.4168693834703354,
-    0.8317637711026709
+    0.5623413251903491,
+    1.7782794100389228
   ]
 }
 """
 
 ANALYZE_CSV = """key,value
-samples,120
+samples,62
 cp_min,0.01
 cp_max,10.0
 global_min_ops,48
 epsilon,0.05
-bins,50
-bin_log_width,0.13815510557964272
-roi_log_width,0.6907755278982136
-roi_cp_interval,"[0.4168693834703354, 0.8317637711026709]"
+points,31
+roi_log_width,1.151292546497023
+roi_cp_interval,"[0.5623413251903491, 1.7782794100389228]"
 """
 
 
@@ -563,14 +620,14 @@ def test_analyze_output_is_pinned(tmp_path, capsys, fmt, want):
 
 
 @pytest.mark.parametrize(
-    "text, null_interval",
+    "text, interval",
     [
-        (fixed_sweep_csv(), False),
-        (",".join(CSV_HEADER) + '\n0,0.5,sa-uct,25,forward,0,48,39,9,"x,y"\n', True),
+        (fixed_sweep_csv(), [0.5623413251903491, 1.7782794100389228]),
+        (",".join(CSV_HEADER) + '\n0,0.5,sa-uct,25,forward,0,48,39,9,"x,y"\n', [0.5, 0.5]),
     ],
     ids=["interval", "one-sample"],
 )
-def test_analyze_csv_cells_are_the_json_values(tmp_path, capsys, text, null_interval):
+def test_analyze_csv_cells_are_the_json_values(tmp_path, capsys, text, interval):
     path = tmp_path / "sweep.csv"
     path.write_text(text)
     assert main(["analyze", str(path)]) == 0
@@ -582,4 +639,4 @@ def test_analyze_csv_cells_are_the_json_values(tmp_path, capsys, text, null_inte
     assert [key for key, _ in recs] == list(report)
     for key, cell in recs:
         assert json.loads(cell) == report[key]
-    assert (report["roi_cp_interval"] is None) == null_interval
+    assert report["roi_cp_interval"] == interval
