@@ -22,15 +22,20 @@ was, or removes it if it did not exist.
 search, and bruteforce with --format json, print one JSON result record:
 best_total, best_mul, best_add, scheme (the order as "a,b"), direction
 ("forward" or "backward"), then criterion ("uct" or "sa-uct"), cp,
-n_updates, repeats, seed (search) or schemes_evaluated (bruteforce).
+n_updates, seed (search) or schemes_evaluated (bruteforce). A search is
+one MCTS run.
 sweep runs sample k at point k mod G of a grid of G cp values, spaced
 evenly in log cp from --cp-min to --cp-max, and with seed --seed plus k;
 G = min(--samples, 1 + ceil(10 log10(cp_max / cp_min))), a spacing of
-0.1 decade or finer when --samples allows. It writes one CSV row per
-run, in sample order, with the columns sample, cp, criterion, n_updates,
-direction, seed, ops_total, ops_mul, ops_add, scheme; with --format json
-it writes a list of rows whose keys are the same names. analyze reports
-the keys samples, cp_min, cp_max, global_min_ops, epsilon, points,
+0.1 decade or finer when --samples allows, and one point when --cp-min
+equals --cp-max: the best of R runs at cp C is sweep --cp-min C --cp-max C
+--samples R. It writes one CSV row per run, in sample order, with the
+columns sample, cp, criterion, n_updates, direction, seed, ops_total,
+ops_mul, ops_add, scheme; with --format json it writes a list of rows
+whose keys are the same names. analyze counts a cp value as good when
+one of its rows has ops_total at most 1 + --epsilon times the least; any
+finite --epsilon >= 0 is accepted, and 0 counts the least alone. It
+reports the keys samples, cp_min, cp_max, global_min_ops, epsilon, points,
 roi_log_width, roi_cp_interval (the [low, high] C_p band, [cp, cp] when
 all cp values are equal), where points is the number of distinct cp
 values; with --format csv it writes a key,value header, then one row per
@@ -132,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("exprfile")
     p.add_argument("--cp", type=float, default=1.0, help="exploration constant / initial temperature")
     _add_search_flags(p)
-    p.add_argument("--repeats", type=int, default=1, help="independent runs, best kept")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sweep", help="many runs over a log-spaced cp grid; CSV out")
@@ -271,7 +275,6 @@ def cmd_search(args) -> int:
     params = SearchParams(
         cp=args.cp,
         n_updates=args.n_updates,
-        repeats=args.repeats,
         criterion=Criterion(args.criterion),
         direction=Direction(args.direction),
         seed=args.seed,
@@ -285,7 +288,6 @@ def cmd_search(args) -> int:
             criterion=params.criterion.value,
             cp=params.cp,
             n_updates=params.n_updates,
-            repeats=params.repeats,
             seed=params.seed,
         )
     )

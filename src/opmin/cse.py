@@ -68,6 +68,7 @@ from .horner import Const, Power, Scheme, Sum, Var, check_scheme, effective_orde
 K_SUM, K_PROD, K_POW, K_VAR, K_CONST = 0, 1, 2, 3, 4
 _AC = (K_SUM, K_PROD)
 _KIND_NAMES = {K_SUM: "add", K_PROD: "mul", K_POW: "pow", K_VAR: "var", K_CONST: "const"}
+_ARITY = {K_POW: 2, K_VAR: 1, K_CONST: 1}  # add and mul take any number of children
 # Steps of a Horner plan (``DeltaScorer._plan``), each a tuple of ints.
 _FLAT, _FACTOR, _PAIR, _ADDENDS, _CLOSE = range(5)
 
@@ -76,7 +77,8 @@ class Dag:
     """Append-only node table; a child always precedes the nodes that use it.
 
     ``_Rewriter.from_dag``, the way in for a ``Dag`` from outside the
-    scorer, refuses one whose children or roots break this.
+    scorer, refuses one whose children or roots break this, or whose args
+    break the layout below.
 
     ``args[i]`` is a sorted child-id tuple for add/mul nodes, ``(base, exp)``
     for pow, ``(atom_id,)`` for var and ``(value,)`` for const. Completed
@@ -336,19 +338,25 @@ class _Rewriter:
         """Rewriter over a copy of *d*, checked against the precondition.
 
         One pass over the nodes copies each one, raises ValueError at the
-        first node that is identical to an earlier one, has an add/mul
-        child list that is not strictly increasing, has a child (a pow
-        base included) that is not an earlier node, or would count below
-        zero: an add node with no children, a mul node whose children are
-        all +-1 constants (none included), or a pow node whose exponent is
-        below 1. It records in ``inner`` every child of an add/mul node
-        of the same kind. Then it raises ValueError on a root that is not a
-        node id.
+        first node that has a kind outside the five, has args of the wrong
+        length for its kind (one for var and const, two for pow), is
+        identical to an earlier one, has an add/mul child list that is not
+        strictly increasing, has a child (a pow base included) that is not
+        an earlier node, or would count below zero: an add node with no
+        children, a mul node whose children are all +-1 constants (none
+        included), or a pow node whose exponent is below 1. The kind and
+        length are checked before any other check reads the args. It
+        records in ``inner`` every child of an add/mul node of the same
+        kind. Then it raises ValueError on a root that is not a node id.
         """
         index = {}
         inner = set()
         for i, (k, a) in enumerate(zip(d.kinds, d.args)):
             a = tuple(a)
+            if k not in _KIND_NAMES:
+                raise ValueError(f"node {i}: unknown kind {k!r}")
+            if len(a) != _ARITY.get(k, len(a)):
+                raise ValueError(f"node {i}: {_KIND_NAMES[k]} args {list(a)} have length {len(a)}, not {_ARITY[k]}")
             j = index.setdefault((k, a), i)
             if j != i:
                 raise ValueError(f"nodes {j} and {i} are identical")

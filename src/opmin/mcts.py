@@ -9,11 +9,12 @@ with the iteration i, to C_p*(N-i)/N over N tree updates, so early
 iterations explore broadly and late ones deepen the best branch.
 
 The best score ever seen is tracked over complete playout paths, which may
-extend beyond the stored tree. ``search`` makes ``params.repeats``
-independent runs seeded seed, seed+1, ... that share one scorer, and
-returns the best run (the earliest on a tie). All randomness flows through
-one seeded PCG64 generator per run, so every result is reproducible from
-(expression, params).
+extend beyond the stored tree. A search is one run: all its randomness
+flows through one PCG64 generator seeded ``params.seed``, so every result
+is reproducible from (expression, params). The best of R runs at one C_p
+is a one-point sweep (``sweep.SweepConfig`` with ``cp_min == cp_max`` and
+``samples`` R), whose runs are seeded seed, seed+1, ... and share one
+scorer.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class Criterion(Enum):
 class SearchParams:
     cp: float
     n_updates: int
-    repeats: int = 1
     criterion: Criterion = Criterion.SA_UCT
     direction: Direction = Direction.FORWARD
     seed: int = 0
@@ -51,8 +51,6 @@ class SearchParams:
             raise ValueError("cp must be nonnegative and finite")
         if self.n_updates < 1:
             raise ValueError("n_updates must be >= 1")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not isinstance(self.criterion, Criterion):
@@ -185,27 +183,25 @@ def run_iteration(state: SearchState, i: int, params: SearchParams, rng) -> int:
 
 
 def search(e: Expression, params: SearchParams, scorer: DeltaScorer | None = None) -> SearchResult:
-    """Best of ``params.repeats`` runs seeded seed, seed+1, ...; ties keep the earliest."""
+    """One run of ``params.n_updates`` iterations, seeded ``params.seed``.
+
+    The best of several runs is a one-point sweep; see the module docstring.
+    """
     vs = variables(e)
     if not vs:
         raise ValueError("expression has no variables to order")
     if scorer is None:
         scorer = DeltaScorer(e)
-    naive_total = naive_op_count(e).total
-    best: SearchResult | None = None
-    for seed in range(params.seed, params.seed + params.repeats):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        state = SearchState(root=Node(None, sorted(vs)), naive_total=naive_total, scorer=scorer)
-        for i in range(params.n_updates):
-            run_iteration(state, i, params, rng)
-        if best is None or state.best_ops.total < best.best_delta.total:
-            best = SearchResult(
-                best_delta=state.best_ops,
-                best_scheme=Scheme(state.best_order, params.direction),
-                deltas_per_iteration=state.deltas,
-                iterations_run=params.n_updates,
-            )
-    return best
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+    state = SearchState(root=Node(None, sorted(vs)), naive_total=naive_op_count(e).total, scorer=scorer)
+    for i in range(params.n_updates):
+        run_iteration(state, i, params, rng)
+    return SearchResult(
+        best_delta=state.best_ops,
+        best_scheme=Scheme(state.best_order, params.direction),
+        deltas_per_iteration=state.deltas,
+        iterations_run=params.n_updates,
+    )
 
 
 def brute_force_search(

@@ -1,14 +1,17 @@
 """Sensitivity sweeps over the exploration constant, plus ROI analysis.
 
-A sweep runs many independent searches on a grid of C_p values, spaced
-evenly in log C_p from cp_min to cp_max, and emits one CSV row per run.
-Each grid point's cell of log C_p reaches halfway to its neighbouring
-points and ends at the outermost points. The sweep's region of interest
-(ROI) is the widest run of consecutive points that each hold a run within
-(1+epsilon) of the sweep's minimum operation count, and its width is the
-length of their cells in log units. Comparing this width between selection
-criteria quantifies how much a decaying temperature widens the usable C_p
-range; ``analyze_rows`` reports it.
+A sweep runs many independent searches, each one MCTS run, on a grid of
+C_p values, spaced evenly in log C_p from cp_min to cp_max, and emits one
+CSV row per run. With cp_min equal to cp_max the grid is that one point,
+so the best of R runs at one C_p is a sweep of R samples: its first row of
+least ops_total. Each grid point's cell of log C_p reaches halfway to its
+neighbouring points and ends at the outermost points. The sweep's region
+of interest (ROI) is the widest run of consecutive points that each hold a
+run within (1+epsilon) of the sweep's minimum operation count, at the
+minimum itself when epsilon is 0, and its width is the length of their
+cells in log units. Comparing this width between selection criteria
+quantifies how much a decaying temperature widens the usable C_p range;
+``analyze_rows`` reports it.
 
 ``SweepRow`` defines the schema of a sweep record in CSV and JSON: its
 fields, in order, are the CSV columns (``CSV_HEADER``) and the keys of a
@@ -57,8 +60,8 @@ class SweepConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.cp_min < self.cp_max and math.isfinite(self.cp_max)):
-            raise ValueError("need finite 0 < cp_min < cp_max")
+        if not (0 < self.cp_min <= self.cp_max and math.isfinite(self.cp_max)):
+            raise ValueError("need finite 0 < cp_min <= cp_max")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.n_updates < 1:
@@ -111,7 +114,6 @@ def _run_sample(e: Expression, config: SweepConfig, k: int, cp: float, scorer) -
     params = SearchParams(
         cp=cp,
         n_updates=config.n_updates,
-        repeats=1,  # each dot is a single MCTS run
         criterion=config.criterion,
         direction=config.direction,
         seed=config.base_seed + k,
@@ -339,11 +341,11 @@ def analyze_rows(rows, epsilon: float = DEFAULT_EPSILON) -> dict:
     consecutive good points, the first of equally long runs; its C_p
     interval is the ends of their cells, and its log width the length of
     those cells: one grid spacing per interior point, and 0 with one point.
-    Raises ValueError for an epsilon that is not positive and finite, or for
-    no rows.
+    Raises ValueError for an epsilon that is not nonnegative and finite, or
+    for no rows.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be positive and finite")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError("epsilon must be nonnegative and finite")
     if not rows:
         raise ValueError("no sweep rows")
     points = sorted({r.cp for r in rows})

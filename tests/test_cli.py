@@ -54,7 +54,7 @@ class TestExitCodes:
         assert "t0 = const 0" in lines
 
     def test_malformed_command_line_exits_1(self, capsys, worked):
-        for extra in (["--no-such-flag"], ["--schedule", "const"]):
+        for extra in (["--no-such-flag"], ["--schedule", "const"], ["--repeats", "2"]):
             with pytest.raises(SystemExit) as exc:
                 main(["search", worked, *extra])
             assert exc.value.code == 1
@@ -64,7 +64,7 @@ class TestExitCodes:
         "extra, message",
         [
             (["--n-updates", "0"], "n_updates must be >= 1"),
-            (["--repeats", "0"], "repeats must be >= 1"),
+            (["--cp", "-1", "--n-updates", "5"], "cp must be nonnegative and finite"),
             (["--cp", "nan", "--n-updates", "5"], "cp must be nonnegative and finite"),
         ],
     )
@@ -102,7 +102,7 @@ class TestExitCodes:
     def test_infinite_sweep_range_exits_2(self, capsys, worked):
         code, out, err = run(capsys, "sweep", worked, "--samples", "2", "--cp-max", "inf")
         assert code == 2 and out == ""
-        assert err == "opmin: error: need finite 0 < cp_min < cp_max\n"
+        assert err == "opmin: error: need finite 0 < cp_min <= cp_max\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_sweep_jobs_below_one_exits_2(self, capsys, worked, jobs):
@@ -269,7 +269,6 @@ class TestJsonSchemas:
             "criterion",
             "cp",
             "n_updates",
-            "repeats",
             "seed",
         ]
 
@@ -369,6 +368,31 @@ def test_sweep_csv_does_not_depend_on_jobs(tmp_path, worked):
         csv.append(path.read_bytes())
     assert csv[0] == csv[1]
     assert csv[0].count(b"\n") == 7  # header and one row per sample
+
+
+def test_one_point_sweep_rows_are_the_searches_of_their_seeds(capsys, three_vars):
+    # The best of R runs at one cp is sweep --cp-min C --cp-max C --samples R.
+    argv = ["--cp-min", "0.5", "--cp-max", "0.5", "--samples", "3", "--n-updates", "5", "--format", "json"]
+    code, out, _ = run(capsys, "sweep", three_vars, *argv)
+    assert code == 0
+    rows = json.loads(out)
+    assert [(r["cp"], r["seed"]) for r in rows] == [(0.5, k) for k in range(3)]
+    for k, row in enumerate(rows):
+        code, out, _ = run(capsys, "search", three_vars, "--cp", "0.5", "--n-updates", "5", "--seed", str(k))
+        assert code == 0
+        record = json.loads(out)
+        assert (row["ops_total"], row["scheme"]) == (record["best_total"], record["scheme"])
+
+
+def test_analyze_accepts_zero_epsilon(capsys, tmp_path):
+    # At epsilon 0 only cp 2.0, which holds the minimum, is good.
+    path = tmp_path / "sweep.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n0,1.0,uct,5,forward,0,5,4,1,x\n1,2.0,uct,5,forward,1,3,2,1,x\n")
+    code, out, err = run(capsys, "analyze", str(path), "--epsilon", "0")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["epsilon"] == 0.0
+    assert report["roi_cp_interval"] == [pytest.approx(2**0.5), 2.0]
 
 
 @pytest.mark.parametrize(

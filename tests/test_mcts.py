@@ -28,7 +28,7 @@ from test_expr import WORKED
 
 
 def params(**kw):
-    defaults = dict(cp=1.0, n_updates=100, repeats=1, seed=0)
+    defaults = dict(cp=1.0, n_updates=100, seed=0)
     defaults.update(kw)
     return SearchParams(**defaults)
 
@@ -340,40 +340,6 @@ class TestSearch:
     def test_no_variables_rejected(self):
         with pytest.raises(ValueError, match="no variables"):
             search(parse("3"), params())
-
-
-class TestRepeatSearch:
-    def test_min_over_runs(self):
-        e = five_var_expr(seed=3)
-        p = params(n_updates=30, repeats=5, seed=100)
-        combined = search(e, p)
-        singles = [
-            search(e, params(n_updates=30, seed=100 + r)) for r in range(5)
-        ]
-        assert combined.best_delta.total == min(s.best_delta.total for s in singles)
-
-    def test_returns_earliest_best_single_run(self):
-        e = five_var_expr(seed=3)
-        singles = [search(e, params(n_updates=10, seed=7 + r)) for r in range(5)]
-        totals = [s.best_delta.total for s in singles]
-        first = totals.index(min(totals))
-        # Run 0 loses, so a search that ignored repeats would fail; a later
-        # run with another scheme ties the winner, which must still win.
-        assert first > 0
-        assert any(
-            t == totals[first] and s.best_scheme != singles[first].best_scheme
-            for t, s in zip(totals[first + 1 :], singles[first + 1 :])
-        )
-        combined = search(e, params(n_updates=10, repeats=5, seed=7))
-        assert combined.best_delta == singles[first].best_delta
-        assert combined.best_scheme == singles[first].best_scheme
-        assert combined.deltas_per_iteration == singles[first].deltas_per_iteration
-
-    def test_reaches_brute_force_optimum_on_five_vars(self):
-        e = five_var_expr(seed=4)
-        oracle = brute_force_oracle(e)
-        res = search(e, params(cp=1.0, n_updates=500, repeats=10, seed=0))
-        assert res.best_delta.total == oracle
 
 
 class TestBruteForce:

@@ -330,11 +330,35 @@ def test_from_dag_rejects_children_not_all_earlier_nodes_and_roots_past_the_tabl
         ([K_VAR, K_POW], [(0,), (0, 0)], r"node 1: pow args \[0, 0\] would count below zero"),
         ([K_CONST, K_PROD], [(1,), (0,)], r"node 1: mul args \[0\] would count below zero"),
         ([K_CONST, K_CONST, K_PROD], [(1,), (-1,), (0, 1)], r"node 2: mul args \[0, 1\] would count below zero"),
+        ([K_CONST], [()], r"node 0: const args \[\] have length 0, not 1"),
+        ([K_VAR], [()], r"node 0: var args \[\] have length 0, not 1"),
+        ([K_VAR], [(0, 1)], r"node 0: var args \[0, 1\] have length 2, not 1"),
+        ([K_VAR, 7], [(0,), (0,)], r"node 1: unknown kind 7"),
+        ([K_VAR, K_POW], [(0,), (0, 2, 5)], r"node 1: pow args \[0, 2, 5\] have length 3, not 2"),
+        ([K_CONST, K_PROD], [(), (0,)], r"node 0: const args \[\] have length 0, not 1"),
+        ([K_VAR, K_POW], [(0,), (0,)], r"node 1: pow args \[0\] have length 1, not 2"),
     ],
-    ids=["empty-sum", "empty-product", "negative-exponent", "zero-exponent", "product-of-one", "product-of-signs"],
+    ids=[
+        "empty-sum",
+        "empty-product",
+        "negative-exponent",
+        "zero-exponent",
+        "product-of-one",
+        "product-of-signs",
+        "const-of-nothing",
+        "var-of-nothing",
+        "var-of-two",
+        "unknown-kind",
+        "power-of-three-args",
+        "product-of-a-const-of-nothing",
+        "power-without-exponent",
+    ],
 )
 def test_from_dag_rejects_nodes_that_count_below_zero(kinds, args, message):
-    # Accepted, these count -1, -1, -4, -1, -1 and -1 operations.
+    # Accepted, the first six count -1, -1, -4, -1, -1 and -1 operations.
+    # The rest are malformed nodes, refused before any check reads their
+    # args: the next five were accepted (the pow of three args counted as
+    # 1 mul), and the last two raised IndexError from a later check.
     with pytest.raises(ValueError, match=message):
         _Rewriter.from_dag(Dag(kinds, args, [len(kinds) - 1]))
 

@@ -17,7 +17,7 @@ import pytest
 import opmin
 from opmin.cse import DeltaScorer
 from opmin.expr import parse, variables
-from opmin.horner import Direction
+from opmin.horner import Direction, order_to_string
 from opmin.mcts import Criterion, SearchParams, brute_force_search, search
 from opmin.sweep import (
     CSV_HEADER,
@@ -33,6 +33,7 @@ from opmin.benchgen import RandomExprParams, random_expr, resultant_expr
 from opmin.cli import main
 
 from test_expr import WORKED
+from test_mcts import brute_force_oracle, five_var_expr
 
 
 def small_config(**kw):
@@ -142,7 +143,7 @@ class TestRunSweep:
         assert all(r.ops_total >= bf for r in rows)
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need finite 0 < cp_min <= cp_max$"):
             small_config(cp_min=2.0, cp_max=1.0)
         with pytest.raises(ValueError):
             small_config(samples=0)
@@ -155,6 +156,48 @@ class TestRunSweep:
     def test_jobs_below_one_is_rejected(self, jobs):
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
             run_sweep(parse(WORKED), small_config(samples=1), jobs=jobs)
+
+
+class TestOnePointSweep:
+    """cp_min == cp_max: the grid is one point, and a sweep of R samples is
+    the best of R runs at that C_p."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+    @pytest.mark.parametrize("criterion", list(Criterion), ids=lambda c: c.value)
+    def test_rows_equal_separate_searches(self, criterion, direction, jobs):
+        e = five_var_expr(seed=3)
+        cfg = SweepConfig(0.5, 0.5, 5, 30, direction=direction, criterion=criterion, base_seed=100)
+        rows = run_sweep(e, cfg, jobs=jobs)
+        singles = [
+            search(e, SearchParams(cp=0.5, n_updates=30, criterion=criterion, direction=direction, seed=100 + k))
+            for k in range(5)
+        ]
+        assert [(r.sample, r.cp, r.seed, r.criterion, r.direction) for r in rows] == [
+            (k, 0.5, 100 + k, criterion.value, direction.value) for k in range(5)
+        ]
+        want = [
+            (s.best_delta.mul, s.best_delta.add, order_to_string(s.best_scheme.order, e.atoms)) for s in singles
+        ]
+        assert [(r.ops_mul, r.ops_add, r.scheme) for r in rows] == want
+        # The runs differ, so rows from one seed, or out of order, would fail.
+        assert len(set(want)) > 1
+
+    def test_reaches_brute_force_optimum_on_five_vars(self):
+        e = five_var_expr(seed=4)
+        rows = run_sweep(e, SweepConfig(1.0, 1.0, 10, 500))
+        assert min(r.ops_total for r in rows) == brute_force_oracle(e)
+
+    @pytest.mark.parametrize("samples", [1, 2, 7, 4000])
+    def test_grid_is_the_one_point(self, samples):
+        assert cp_grid(SweepConfig(0.3, 0.3, samples, 5)) == [0.3]
+
+    def test_analyze_reports_one_point_of_width_zero(self):
+        rows = run_sweep(parse(WORKED), SweepConfig(0.3, 0.3, 4, 5))
+        rep = analyze_rows(rows)
+        assert (rep["samples"], rep["points"], rep["cp_min"], rep["cp_max"]) == (4, 1, 0.3, 0.3)
+        assert rep["roi_log_width"] == 0.0
+        assert rep["roi_cp_interval"] == [0.3, 0.3]
 
 
 def random_small(seed):
@@ -503,7 +546,7 @@ class TestRoi:
         cps = [float(c) for c in np.exp(rng.uniform(-3, 2, 300))]
         totals = [int(t) for t in rng.integers(50, 120, 300)]
         rows = synthetic_rows(cps, totals)
-        widths = [analyze_rows(rows, eps)["roi_log_width"] for eps in (0.01, 0.05, 0.1, 0.5, 1.0)]
+        widths = [analyze_rows(rows, eps)["roi_log_width"] for eps in (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)]
         assert all(a <= b for a, b in zip(widths, widths[1:]))
 
     def test_contiguity_matters(self):
@@ -537,19 +580,31 @@ class TestRoi:
         rows = run_sweep(e, small_config(samples=40, n_updates=5))
         assert analyze_rows(read_csv(io.StringIO(csv_bytes(rows)))) == analyze_rows(rows)
 
-    def test_requires_rows_and_positive_epsilon(self):
-        with pytest.raises(ValueError):
+    def test_requires_rows_and_nonnegative_epsilon(self):
+        with pytest.raises(ValueError, match="^no sweep rows$"):
             analyze_rows([], 0.05)
-        with pytest.raises(ValueError):
-            analyze_rows(synthetic_rows([1.0], [5]), 0.0)
+        with pytest.raises(ValueError, match="^epsilon must be nonnegative and finite$"):
+            analyze_rows(synthetic_rows([1.0], [5]), -0.05)
 
-    def test_interval_requires_positive_epsilon(self):
-        with pytest.raises(ValueError, match="epsilon must be positive"):
-            analyze_rows(synthetic_rows([1.0, 2.0], [5, 3]), 0.0)
+    @pytest.mark.parametrize(
+        "cps, totals, interval",
+        [
+            # Only cp 2.0 holds the minimum: the last point's half cell.
+            ([1.0, 2.0], [5, 3], [math.sqrt(2.0), 2.0]),
+            # cp 1.0 and 4.0 hold it, runs of one point each: the first.
+            ([1.0, 2.0, 4.0], [3, 4, 3], [1.0, math.sqrt(2.0)]),
+        ],
+        ids=["last-point", "first-of-two-runs"],
+    )
+    def test_zero_epsilon_counts_only_the_minimum(self, cps, totals, interval):
+        rep = analyze_rows(synthetic_rows(cps, totals), 0.0)
+        assert rep["epsilon"] == 0.0
+        assert rep["roi_cp_interval"] == pytest.approx(interval)
+        assert rep["roi_log_width"] == pytest.approx(0.5 * math.log(2.0))
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
     def test_requires_finite_epsilon(self, epsilon):
-        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        with pytest.raises(ValueError, match="epsilon must be nonnegative and finite"):
             analyze_rows(synthetic_rows([1.0, 2.0], [5, 3]), epsilon)
 
     def test_degenerate_range(self):
