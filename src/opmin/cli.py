@@ -19,11 +19,15 @@ output is closed early (``| head``).
 The contents of an existing --out file of sweep or generate are replaced
 only when the command succeeds; a failed command leaves the file as it
 was, or removes it if it did not exist.
-search, and bruteforce with --format json, print one JSON result record:
-best_total, best_mul, best_add, scheme (the order as "a,b"), direction
-("forward" or "backward"), then criterion ("uct" or "sa-uct"), cp,
-n_updates, seed (search) or schemes_evaluated (bruteforce). A search is
-one MCTS run.
+search makes one MCTS run and prints its record, a JSON object with the
+keys of a sweep row (below): sample (0), cp, criterion ("uct" or
+"sa-uct"), n_updates, direction ("forward" or "backward"), seed,
+ops_total, ops_mul, ops_add, scheme (the order as "a,b"); for a cp above 0
+it is row 0 of sweep --cp-min C --cp-max C --samples 1 --seed S --format
+json. bruteforce --format json prints the keys ops_total, ops_mul,
+ops_add, scheme, direction, schemes_evaluated. In a --scheme of simplify,
+"," separates atoms and ";" the direction only outside parentheses: a ","
+or ";" inside them belongs to a function atom, as in "f(x,y),z;backward".
 sweep runs sample k at point k mod G of a grid of G cp values, spaced
 evenly in log cp from --cp-min to --cp-max, and with seed --seed plus k;
 G = min(--samples, 1 + ceil(10 log10(cp_max / cp_min))), a spacing of
@@ -65,12 +69,13 @@ from .horner import (
     scheme_from_string,
     scheme_to_string,
 )
-from .mcts import Criterion, SearchParams, brute_force_search, search
+from .mcts import Criterion, SearchParams, brute_force_search
 from .sweep import (
     DEFAULT_EPSILON,
     SweepConfig,
     analyze_rows,
     read_csv,
+    run_row,
     run_sweep,
     write_csv,
 )
@@ -224,29 +229,13 @@ def _ops_json(c) -> dict:
     return {"mul": c.mul, "add": c.add, "total": c.total}
 
 
-def _result_json(result, atoms, **extra) -> str:
-    """The result record of search and bruteforce; *extra* keys come last."""
-    best, scheme = result.best_delta, result.best_scheme
-    record = {
-        "best_total": best.total,
-        "best_mul": best.mul,
-        "best_add": best.add,
-        "scheme": order_to_string(scheme.order, atoms),
-        "direction": scheme.direction.value,
-        **extra,
-    }
-    return json.dumps(record, indent=2)
-
-
 def cmd_simplify(args) -> int:
     e = _load_expression(args.exprfile)
     direction = Direction(args.direction)
     if args.scheme == "occurrence":
         scheme = Scheme(occurrence_order(e).order, direction)
     else:
-        scheme = scheme_from_string(args.scheme, e.atoms)
-        if ";" not in args.scheme:
-            scheme = Scheme(scheme.order, direction)
+        scheme = scheme_from_string(args.scheme, e.atoms, default=direction)
     naive = naive_op_count(e)
     result = simplify(e, scheme)
     _self_check(e, result.dag)
@@ -279,18 +268,10 @@ def cmd_search(args) -> int:
         direction=Direction(args.direction),
         seed=args.seed,
     )
-    result = search(e, params)
-    _self_check(e, simplify(e, result.best_scheme).dag)
-    print(
-        _result_json(
-            result,
-            e.atoms,
-            criterion=params.criterion.value,
-            cp=params.cp,
-            n_updates=params.n_updates,
-            seed=params.seed,
-        )
-    )
+    row = run_row(e, params)
+    # Check the scheme as it reads back from the printed text.
+    _self_check(e, simplify(e, scheme_from_string(row.scheme, e.atoms, default=params.direction)).dag)
+    print(json.dumps(asdict(row), indent=2))
     return 0
 
 
@@ -323,7 +304,16 @@ def cmd_bruteforce(args) -> int:
     result = brute_force_search(e, direction, max_vars=args.max_vars)
     _self_check(e, simplify(e, result.best_scheme).dag)
     if args.format == "json":
-        print(_result_json(result, e.atoms, schemes_evaluated=result.iterations_run))
+        best, scheme = result.best_delta, result.best_scheme
+        record = {
+            "ops_total": best.total,
+            "ops_mul": best.mul,
+            "ops_add": best.add,
+            "scheme": order_to_string(scheme.order, e.atoms),
+            "direction": scheme.direction.value,
+            "schemes_evaluated": result.iterations_run,
+        }
+        print(json.dumps(record, indent=2))
     else:
         print(f"minimum: {result.best_delta}")
         print(f"scheme:  {scheme_to_string(result.best_scheme, e.atoms)}")

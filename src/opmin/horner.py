@@ -246,16 +246,32 @@ def scheme_to_string(s: Scheme, atoms: AtomTable) -> str:
     return order_to_string(s.order, atoms) + ";" + s.direction.value
 
 
-def scheme_from_string(text: str, atoms: AtomTable) -> Scheme:
-    """Parse "y,x;forward"; text without ";" is a forward scheme.
+def _split_outside_parens(text: str, sep: str, maxsplit: int = -1) -> list[str]:
+    """``text.split(sep, maxsplit)``, cutting only where no parenthesis encloses.
 
-    Raises ValueError, naming the directions, when the text after ";" is
-    not one of them, also when it is empty: "x;" is not a forward scheme.
+    A function atom's text is ``ident(balanced text)`` and may hold "," or ";".
     """
-    order_part, sep, dir_part = text.partition(";")
-    direction = dir_part.strip() if sep else Direction.FORWARD.value
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == sep and depth == 0 and len(parts) != maxsplit:
+            parts.append(text[start:i])
+            start = i + 1
+    return [*parts, text[start:]]
+
+
+def scheme_from_string(text: str, atoms: AtomTable, default: Direction = Direction.FORWARD) -> Scheme:
+    """Parse "y,x;forward"; text without ";" is a scheme in direction *default*.
+
+    Only a "," or ";" outside parentheses separates: "f(x,y),z" names the
+    atoms f(x,y) and z. Raises ValueError, naming the directions, when the
+    text after ";" is not one of them, also when it is empty: "x;" is not a
+    forward scheme.
+    """
+    order_part, *dir_part = _split_outside_parens(text, ";", 1)
+    direction = dir_part[0].strip() if dir_part else default.value
     valid = [d.value for d in Direction]
     if direction not in valid:
         raise ValueError(f"direction must be one of {', '.join(valid)}, got {direction!r}")
-    names = [n.strip() for n in order_part.split(",") if n.strip()]
+    names = [n.strip() for n in _split_outside_parens(order_part, ",") if n.strip()]
     return Scheme(tuple(atoms.id_of(n) for n in names), Direction(direction))

@@ -13,9 +13,13 @@ cells in log units. Comparing this width between selection criteria
 quantifies how much a decaying temperature widens the usable C_p range;
 ``analyze_rows`` reports it.
 
-``SweepRow`` defines the schema of a sweep record in CSV and JSON: its
-fields, in order, are the CSV columns (``CSV_HEADER``) and the keys of a
-JSON row, and ``read_csv`` converts each cell to its field's declared type.
+``SweepRow`` is the record of one run, a sweep's row and the output of
+``opmin search`` alike, and ``run_row`` is the one function that makes it
+from a search: a row re-runs from its own fields, as ``run_row(e,
+SearchParams(row.cp, row.n_updates, Criterion(row.criterion),
+Direction(row.direction), row.seed), row.sample) == row``. Its fields, in
+order, are the CSV columns (``CSV_HEADER``) and the keys of a JSON row, and
+``read_csv`` converts each cell to its field's declared type.
 
 Everything is deterministic in the configuration: run k uses grid point
 k mod G and seed base_seed+k, and rows are emitted in sample order even
@@ -110,21 +114,15 @@ def cp_grid(config: SweepConfig) -> list[float]:
     return [lo, *(math.exp(start + i * step) for i in range(1, g - 1)), hi]
 
 
-def _run_sample(e: Expression, config: SweepConfig, k: int, cp: float, scorer) -> SweepRow:
-    params = SearchParams(
-        cp=cp,
-        n_updates=config.n_updates,
-        criterion=config.criterion,
-        direction=config.direction,
-        seed=config.base_seed + k,
-    )
+def run_row(e: Expression, params: SearchParams, sample: int = 0, scorer: DeltaScorer | None = None) -> SweepRow:
+    """The record of one run, ``search(e, params, scorer=scorer)``, as row *sample*."""
     result = search(e, params, scorer=scorer)
     return SweepRow(
-        sample=k,
-        cp=cp,
-        criterion=config.criterion.value,
-        n_updates=config.n_updates,
-        direction=config.direction.value,
+        sample=sample,
+        cp=params.cp,
+        criterion=params.criterion.value,
+        n_updates=params.n_updates,
+        direction=params.direction.value,
         seed=params.seed,
         ops_total=result.best_delta.total,
         ops_mul=result.best_delta.mul,
@@ -139,7 +137,8 @@ def run_sweep(
     jobs: int = 1,
     scorer: DeltaScorer | None = None,
 ) -> list[SweepRow]:
-    """All sweep rows in sample order.
+    """All sweep rows in sample order: row k is ``run_row`` at grid point
+    k mod G with seed base_seed + k.
 
     ``scorer`` (a new DeltaScorer when None) is the sweep's one score cache
     for every value of ``jobs``. ``jobs > 1`` runs the samples in
@@ -154,11 +153,14 @@ def run_sweep(
     if scorer is None:
         scorer = DeltaScorer(e)
     cps = cp_grid(config)
-    tasks = [(k, cps[k % len(cps)]) for k in range(config.samples)]
+    tasks = [
+        (k, SearchParams(cps[k % len(cps)], config.n_updates, config.criterion, config.direction, config.base_seed + k))
+        for k in range(config.samples)
+    ]
     workers = min(jobs, len(tasks))
     if workers == 1:
-        return [_run_sample(e, config, k, cp, scorer) for k, cp in tasks]
-    return _run_in_workers(e, config, tasks, workers, scorer)
+        return [run_row(e, params, k, scorer) for k, params in tasks]
+    return _run_in_workers(e, tasks, workers, scorer)
 
 
 def _tail(cache: dict, start: int) -> list:
@@ -171,11 +173,11 @@ def _tail(cache: dict, start: int) -> list:
     return [(key, cache[key]) for key in reversed(keys)]
 
 
-def _worker(conn, parent_end, e: Expression, config: SweepConfig, scorer: DeltaScorer) -> None:
+def _worker(conn, parent_end, e: Expression, scorer: DeltaScorer) -> None:
     """Run the samples the parent sends until it sends None or is gone.
 
     *scorer* is the caller's, inherited under fork and pickled once under
-    spawn. A task is ``((k, cp), entries)``; the entries go into its cache
+    spawn. A task is ``((k, params), entries)``; the entries go into its cache
     before the search. The reply is ``(True, (row, new))``, where ``new``
     is the tail of the cache that the search added, or
     ``(False, (exception, traceback text))``. ``parent_end`` is this
@@ -186,11 +188,11 @@ def _worker(conn, parent_end, e: Expression, config: SweepConfig, scorer: DeltaS
     cache = scorer.cache
     try:
         while (task := conn.recv()) is not None:
-            (k, cp), entries = task
+            (k, params), entries = task
             cache.update(entries)
             known = len(cache)
             try:
-                row = _run_sample(e, config, k, cp, scorer)
+                row = run_row(e, params, k, scorer)
             except Exception as exc:
                 conn.send((False, (exc, traceback.format_exc())))
                 return
@@ -199,7 +201,7 @@ def _worker(conn, parent_end, e: Expression, config: SweepConfig, scorer: DeltaS
         return  # the parent has exited
 
 
-def _run_in_workers(e, config, tasks, workers: int, scorer: DeltaScorer) -> list[SweepRow]:
+def _run_in_workers(e, tasks, workers: int, scorer: DeltaScorer) -> list[SweepRow]:
     """Rows of *tasks*, run one sample at a time by each of *workers* processes.
 
     The parent holds the one cache, *scorer*'s, which each worker starts
@@ -234,7 +236,7 @@ def _run_in_workers(e, config, tasks, workers: int, scorer: DeltaScorer) -> list
     try:
         for _ in range(workers):
             conn, child = ctx.Pipe()
-            proc = ctx.Process(target=_worker, args=(child, conn, e, config, scorer), daemon=True)
+            proc = ctx.Process(target=_worker, args=(child, conn, e, scorer), daemon=True)
             proc.start()
             child.close()
             conns.append(conn)
@@ -350,8 +352,8 @@ def analyze_rows(rows, epsilon: float = DEFAULT_EPSILON) -> dict:
         raise ValueError("no sweep rows")
     points = sorted({r.cp for r in rows})
     global_min = min(r.ops_total for r in rows)
-    threshold = (1.0 + epsilon) * global_min
-    good = {r.cp for r in rows if r.ops_total <= threshold}
+    # Integers compared exactly: (1 + epsilon) * global_min rounds past 2**53.
+    good = {r.cp for r in rows if r.ops_total - global_min <= epsilon * global_min}
     # The global minimum's point is good, so the longest run has a point or more.
     best_len = best_start = run = 0
     for i, cp in enumerate(points):

@@ -91,7 +91,7 @@ class TestExitCodes:
         path.write_text("x^2 + 3*x + x^3\n")
         code, out, err = run(capsys, "search", str(path), "--n-updates", "3", "--cp", "1e308")
         assert code == 0 and err == ""
-        assert json.loads(out)["best_total"] == 4
+        assert json.loads(out)["ops_total"] == 4
 
     def test_generate_random_negative_seed_exits_2(self, capsys):
         argv = ["generate", "random", "--vars", "2", "--terms", "3", "--seed", "-1"]
@@ -253,24 +253,15 @@ class TestDeepInput:
     def test_search_succeeds(self, capsys, dense):
         code, out, err = run(capsys, "search", dense, "--n-updates", "1")
         assert code == 0 and err == ""
-        assert json.loads(out)["best_total"] == 2998
+        assert json.loads(out)["ops_total"] == 2998
 
 
 class TestJsonSchemas:
     def test_search_keys(self, capsys, worked):
+        # A search prints its run's record: a sweep row, keys in CSV order.
         code, out, _ = run(capsys, "search", worked, "--n-updates", "5")
         assert code == 0
-        assert list(json.loads(out)) == [
-            "best_total",
-            "best_mul",
-            "best_add",
-            "scheme",
-            "direction",
-            "criterion",
-            "cp",
-            "n_updates",
-            "seed",
-        ]
+        assert list(json.loads(out)) == CSV_HEADER
 
     def test_simplify_keys(self, capsys, worked):
         code, out, _ = run(capsys, "simplify", worked, "--scheme", "x,y", "--format", "json")
@@ -287,28 +278,30 @@ class TestJsonSchemas:
         assert code == 0
         doc = json.loads(out)
         assert list(doc) == [
-            "best_total",
-            "best_mul",
-            "best_add",
+            "ops_total",
+            "ops_mul",
+            "ops_add",
             "scheme",
             "direction",
             "schemes_evaluated",
         ]
-        assert doc["best_total"] == 6 and doc["schemes_evaluated"] == 6
+        assert doc["ops_total"] == 6 and doc["schemes_evaluated"] == 6
 
-    def test_bruteforce_scheme_round_trips_through_simplify(self, capsys, three_vars):
-        code, out, _ = run(
-            capsys, "bruteforce", three_vars, "--direction", "backward", "--format", "json"
-        )
-        assert code == 0
-        best = json.loads(out)
-        assert best["direction"] == "backward" and ";" not in best["scheme"]
-        argv = ["--scheme", best["scheme"], "--direction", best["direction"], "--format", "json"]
-        code, out, _ = run(capsys, "simplify", three_vars, *argv)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["cse"]["total"] == best["best_total"]
-        assert doc["scheme"] == f"{best['scheme']};backward"
+    def test_bruteforce_scheme_round_trips_through_simplify(self, capsys, three_vars, tmp_path):
+        # "," and ";" inside a function atom's parentheses belong to it.
+        atoms = tmp_path / "atoms.txt"
+        atoms.write_text("f(x,y)*z + f(x,y) + z*w + 2*w*f(x,y) + g(a;b)*z + g(a;b)*w\n")
+        for path in (three_vars, str(atoms)):
+            code, out, _ = run(capsys, "bruteforce", path, "--direction", "backward", "--format", "json")
+            assert code == 0
+            best = json.loads(out)
+            assert best["direction"] == "backward"
+            argv = ["--scheme", best["scheme"], "--direction", best["direction"], "--format", "json"]
+            code, out, _ = run(capsys, "simplify", path, *argv)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["cse"]["total"] == best["ops_total"]
+            assert doc["scheme"] == f"{best['scheme']};backward"
 
     def test_sweep_json_rows_match_csv_rows(self, capsys, worked):
         argv = ["sweep", worked, "--samples", "4", "--n-updates", "6", "--seed", "2"]
@@ -381,7 +374,31 @@ def test_one_point_sweep_rows_are_the_searches_of_their_seeds(capsys, three_vars
         code, out, _ = run(capsys, "search", three_vars, "--cp", "0.5", "--n-updates", "5", "--seed", str(k))
         assert code == 0
         record = json.loads(out)
-        assert (row["ops_total"], row["scheme"]) == (record["best_total"], record["scheme"])
+        assert {**record, "sample": k} == row
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("cp", ["0.05", "3"])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("criterion", ["uct", "sa-uct"])
+def test_search_prints_row_zero_of_the_one_sample_sweep(capsys, tmp_path, criterion, direction, cp, seed):
+    path = tmp_path / "res32.txt"
+    path.write_text(opmin.to_string(opmin.resultant_expr(3, 2)) + "\n")
+    argv = ["--n-updates", "15", "--criterion", criterion, "--direction", direction, "--seed", seed]
+    code, out, _ = run(capsys, "search", str(path), "--cp", cp, *argv)
+    assert code == 0
+    record = json.loads(out)
+    one_point = ["--cp-min", cp, "--cp-max", cp, "--samples", "1", "--format", "json"]
+    code, out, _ = run(capsys, "sweep", str(path), *one_point, *argv)
+    assert code == 0
+    assert [record] == json.loads(out)
+
+
+def test_search_at_cp_zero_records_cp_zero(capsys, three_vars):
+    code, out, err = run(capsys, "search", three_vars, "--cp", "0", "--n-updates", "5")
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert record["cp"] == 0.0 and isinstance(record["cp"], float)
 
 
 def test_analyze_accepts_zero_epsilon(capsys, tmp_path):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,37 @@ class TestSchemeSerialization:
         e = parse("x + y")
         s = scheme_from_string("y,x", e.atoms)
         assert s.direction is Direction.FORWARD
+
+    def test_default_direction_only_without_separator(self):
+        e = parse("x + y")
+        backward = Direction.BACKWARD
+        assert scheme_from_string("y,x", e.atoms, default=backward) == Scheme((1, 0), backward)
+        assert scheme_from_string("y,x;forward", e.atoms, default=backward).direction is Direction.FORWARD
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_function_atoms_round_trip(self, direction):
+        # "," and ";" inside an atom's parentheses are part of the atom.
+        e = parse("h(f(x,y);z)*f(x,y) + g(a;b)*h(f(x,y);z) + f(x,y)*g(a;b)*z + 3*z*g(a;b)")
+        texts = {e.atoms.text(a) for a in variables(e)}
+        assert texts == {"f(x,y)", "g(a;b)", "h(f(x,y);z)", "z"}
+        for order in permutations(variables(e)):
+            s = Scheme(order, direction)
+            assert scheme_from_string(scheme_to_string(s, e.atoms), e.atoms) == s
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x;forward;x", "direction must be one of forward, backward, got 'forward;x'"),
+            ("f(x,y;forward", "unknown atom 'f(x,y;forward'"),
+            ("f(x", "unknown atom 'f(x'"),
+        ],
+        ids=["two-separators", "unclosed-with-direction", "unclosed"],
+    )
+    def test_malformed_text_rejected(self, text, message):
+        e = parse("f(x,y) + x")
+        with pytest.raises(ValueError) as exc:
+            scheme_from_string(text, e.atoms)
+        assert str(exc.value) == message
 
     def test_duplicate_atoms_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -26,6 +26,7 @@ from opmin.sweep import (
     analyze_rows,
     cp_grid,
     read_csv,
+    run_row,
     run_sweep,
     write_csv,
 )
@@ -131,6 +132,18 @@ class TestRunSweep:
         per_point = [sum(r.cp == cp for r in rows) for cp in cps]
         assert set(per_point) == {samples // 31, -(-samples // 31)}
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_row_reruns_from_its_own_fields(self, jobs):
+        # 31 points x 2 rows of res(3,2): each row is run_row of the
+        # parameters that it records, with no grid or config.
+        e = resultant_expr(3, 2)
+        rows = run_sweep(e, small_config(samples=62, n_updates=20, criterion=Criterion.UCT), jobs=jobs)
+        assert len({r.cp for r in rows}) == 31
+        scorer = DeltaScorer(e)
+        for row in rows:
+            params = SearchParams(row.cp, row.n_updates, Criterion(row.criterion), Direction(row.direction), row.seed)
+            assert run_row(e, params, row.sample, scorer) == row
+
     def test_each_row_seed_offsets_base(self):
         e = parse(WORKED)
         rows = run_sweep(e, small_config(samples=3, base_seed=50))
@@ -217,19 +230,19 @@ def run_script(code: str) -> str:
     return proc.stdout
 
 
-# Runs a jobs=2 sweep under the fork start method with _run_sample replaced,
+# Runs a jobs=2 sweep under the fork start method with run_row replaced,
 # in the parent before the workers fork, by one that fails on sample 3.
 FAILING_SAMPLE = """
 import multiprocessing, os
 multiprocessing.set_start_method("fork")
 from opmin import sweep
 from opmin.expr import parse
-run = sweep._run_sample
-def fail(e, config, k, cp, scorer):
+run = sweep.run_row
+def fail(e, params, k, scorer):
     if k == 3:
         {failure}
-    return run(e, config, k, cp, scorer)
-sweep._run_sample = fail
+    return run(e, params, k, scorer)
+sweep.run_row = fail
 config = sweep.SweepConfig(cp_min=0.01, cp_max=10.0, samples=8, n_updates=10)
 try:
     sweep.run_sweep(parse({worked!r}), config, jobs=2)
@@ -356,13 +369,13 @@ import multiprocessing, os, time
 multiprocessing.set_start_method("fork")
 from opmin import sweep
 from opmin.expr import parse
-run = sweep._run_sample
-def announce(e, config, k, cp, scorer):
+run = sweep.run_row
+def announce(e, params, k, scorer):
     if k < 2:
         os.write(1, f"{{os.getpid()}}\\n".encode())
         time.sleep(0.5)
-    return run(e, config, k, cp, scorer)
-sweep._run_sample = announce
+    return run(e, params, k, scorer)
+sweep.run_row = announce
 config = sweep.SweepConfig(cp_min=0.01, cp_max=10.0, samples=10000, n_updates=10)
 sweep.run_sweep(parse({WORKED!r}), config, jobs=2)
 """
@@ -593,8 +606,11 @@ class TestRoi:
             ([1.0, 2.0], [5, 3], [math.sqrt(2.0), 2.0]),
             # cp 1.0 and 4.0 hold it, runs of one point each: the first.
             ([1.0, 2.0, 4.0], [3, 4, 3], [1.0, math.sqrt(2.0)]),
+            # Past 2**53, (1 + epsilon) * minimum as a float rounds below
+            # the minimum, which then would make no point good.
+            ([1.0, 2.0], [2**53 + 3, 2**53 + 1], [math.sqrt(2.0), 2.0]),
         ],
-        ids=["last-point", "first-of-two-runs"],
+        ids=["last-point", "first-of-two-runs", "past-2**53"],
     )
     def test_zero_epsilon_counts_only_the_minimum(self, cps, totals, interval):
         rep = analyze_rows(synthetic_rows(cps, totals), 0.0)
