@@ -14,6 +14,7 @@ equivalence oracle for every downstream rewrite.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 
@@ -113,26 +114,7 @@ class Expression:
             if any(e < 0 for _, e in exps):
                 raise ValueError("negative exponent")
             merged[exps] = merged.get(exps, 0) + t.coeff
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-        big = max(map(abs, merged.values()), default=0)
-        # Refuse a coefficient that str() cannot print. 8**limit < 10**limit,
-        # so the power is built only for a coefficient near the limit.
-        if limit and big.bit_length() > 3 * limit and big >= 10**limit:
-            raise ValueError(f"coefficient longer than {limit} digits")
-        kept = [Term(c, exps) for exps, c in merged.items() if c != 0]
-
-        def key(t: Term):
-            # Orders like (degree, dense exponent vector) without building
-            # the vector: at the first atom where two terms differ, the one
-            # that holds it (-a is larger than any later -b), or holds it
-            # to a higher power, is larger.
-            k = [t.degree]
-            for a, e in t.exponents:
-                k += (-a, e)
-            return k
-
-        kept.sort(key=key, reverse=True)
-        return cls(atoms, tuple(kept))
+        return cls(atoms, _canonical_terms(merged))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expression):
@@ -154,6 +136,31 @@ class Expression:
         return f"Expression({to_string(self)!r})"
 
 
+def _canonical_terms(merged: dict[tuple[tuple[int, int], ...], int]) -> tuple[Term, ...]:
+    """The canonical terms of *merged*, a dict from sorted exponent tuple to
+    coefficient: zero coefficients dropped, the rest in canonical order."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    big = max(map(abs, merged.values()), default=0)
+    # Refuse a coefficient that str() cannot print. 8**limit < 10**limit,
+    # so the power is built only for a coefficient near the limit.
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ValueError(f"coefficient longer than {limit} digits")
+    kept = [Term(c, exps) for exps, c in merged.items() if c != 0]
+
+    def key(t: Term):
+        # Orders like (degree, dense exponent vector) without building
+        # the vector: at the first atom where two terms differ, the one
+        # that holds it (-a is larger than any later -b), or holds it
+        # to a higher power, is larger.
+        k = [t.degree]
+        for a, e in t.exponents:
+            k += (-a, e)
+        return k
+
+    kept.sort(key=key, reverse=True)
+    return tuple(kept)
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 #
@@ -161,13 +168,30 @@ class Expression:
 # term   := factor ('*' factor)*
 # factor := integer | atom ('^' positive-integer)?
 # atom   := identifier | identifier '(' balanced-text ')'
+#
+# The lexer is a generator and the parser takes one token at a time, looking
+# ahead only past an atom for '^'. Errors are reported as if the whole text
+# were lexed first: the first lexical error anywhere, else the first grammar
+# error, so a grammar error drains the lexer before it is raised.
 # ---------------------------------------------------------------------------
 
 _INT, _ATOM, _OP, _END = "int", "atom", "op", "end"
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    toks = []
+def canonical_atom(written: str) -> str:
+    """The text that the atom *written* is interned as.
+
+    A function atom loses the whitespace before its '(' and all whitespace
+    inside its parentheses: "f (x, y)" is "f(x,y)". Text without '(' is
+    returned as it is.
+    """
+    head, paren, rest = written.partition("(")
+    if not paren:
+        return written
+    return head.strip() + paren + "".join(rest.split())
+
+
+def _tokenize(text: str) -> Iterator[tuple[str, object, int]]:
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -175,7 +199,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             i += 1
             continue
         if ch in "+-*^":
-            toks.append((_OP, ch, i))
+            yield (_OP, ch, i)
             i += 1
             continue
         if ch.isdecimal():  # int() takes these; isdigit() also admits '²'
@@ -187,20 +211,18 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             except ValueError:  # past sys.get_int_max_str_digits()
                 limit = sys.get_int_max_str_digits()
                 raise ParseError(f"integer literal longer than {limit} digits", i) from None
-            toks.append((_INT, val, i))
+            yield (_INT, val, i)
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            ident = text[i:j]
             k = j
             while k < n and text[k].isspace():
                 k += 1
             if k < n and text[k] == "(":
-                # Opaque function atom: capture balanced parens, canonicalize
-                # by stripping all interior whitespace.
+                # Opaque function atom: capture balanced parens.
                 depth, m = 0, k
                 while m < n:
                     if text[m] == "(":
@@ -212,59 +234,79 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                     m += 1
                 if depth != 0:
                     raise ParseError("unbalanced '(' in function atom", k)
-                inner = "".join(text[k + 1 : m].split())
-                toks.append((_ATOM, f"{ident}({inner})", i))
+                yield (_ATOM, canonical_atom(text[i : m + 1]), i)
                 i = m + 1
             else:
-                toks.append((_ATOM, ident, i))
+                yield (_ATOM, text[i:j], i)
                 i = j
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
-    toks.append((_END, None, n))
-    return toks
+    yield (_END, None, n)
 
 
 def parse(text: str) -> Expression:
-    """Parse expression text into canonical form over a fresh atom table."""
+    """Parse expression text into canonical form over a fresh atom table.
+
+    Tokens are streamed from the lexer, and like terms are merged as they
+    are read, so no token list or term list is built. On malformed text the
+    ParseError raised is the first lexical error anywhere in the text (an
+    unexpected character, an unbalanced function atom, an over-long integer
+    literal), else the first grammar error. A ValueError is raised when a
+    merged coefficient is too long for str() to print.
+    """
     atoms = AtomTable()
     toks = _tokenize(text)
-    kind, val, _ = toks[0]
+    try:
+        merged = _read_terms(toks, atoms)
+    except ParseError:
+        for _ in toks:  # a lexical error later in the text is raised instead
+            pass
+        raise
+    return Expression(atoms, _canonical_terms(merged))
+
+
+def _read_terms(toks: Iterator[tuple[str, object, int]], atoms: AtomTable) -> dict[tuple[tuple[int, int], ...], int]:
+    """Read the token stream into a dict from sorted exponent tuple to
+    coefficient, interning atoms in text order."""
+    take, intern = toks.__next__, atoms.intern
+    kind, val, pos = take()
     if kind == _END:
         raise ParseError("empty expression", 0)
 
     # Only operator tokens carry '+', '-', '*' or '^' as their value.
-    i, coeff, exps, terms = 0, 1, {}, []
+    coeff, exps, merged = 1, {}, {}
     if val in ("+", "-"):
-        i, coeff = 1, -1 if val == "-" else 1
+        coeff = -1 if val == "-" else 1
+        kind, val, pos = take()
     while True:
-        kind, val, pos = toks[i]
         if kind == _INT:
             coeff *= val
-            i += 1
+            kind, val, pos = take()
         elif kind == _ATOM:
-            aid = atoms.intern(val)
+            aid = intern(val)
+            kind, val, pos = take()
             e = 1
-            i += 1
-            if toks[i][1] == "^":
-                kind, e, pos = toks[i + 1]
+            if val == "^":
+                kind, e, pos = take()
                 if kind != _INT:
                     raise ParseError("expected integer exponent after '^'", pos)
                 if e < 1:
                     raise ParseError("exponent must be a positive integer", pos)
-                i += 2
+                kind, val, pos = take()
             exps[aid] = exps.get(aid, 0) + e
         else:
             raise ParseError("expected integer or atom", pos)
-        kind, val, pos = toks[i]
-        i += 1
         if val == "*":
+            kind, val, pos = take()
             continue
-        terms.append(Term(coeff, tuple(exps.items())))
+        key = tuple(sorted(exps.items()))
+        merged[key] = merged.get(key, 0) + coeff
         if kind == _END:
-            return Expression.from_terms(atoms, terms)
+            return merged
         if val not in ("+", "-"):
             raise ParseError("expected '+' or '-' between terms", pos)
         coeff, exps = -1 if val == "-" else 1, {}
+        kind, val, pos = take()
 
 
 # ---------------------------------------------------------------------------

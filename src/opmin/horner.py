@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .expr import Expression, OpCount, AtomTable, variables
+from .expr import Expression, OpCount, AtomTable, canonical_atom, variables
 
 
 class Direction(Enum):
@@ -264,9 +264,10 @@ def scheme_from_string(text: str, atoms: AtomTable, default: Direction = Directi
     """Parse "y,x;forward"; text without ";" is a scheme in direction *default*.
 
     Only a "," or ";" outside parentheses separates: "f(x,y),z" names the
-    atoms f(x,y) and z. Raises ValueError, naming the directions, when the
-    text after ";" is not one of them, also when it is empty: "x;" is not a
-    forward scheme.
+    atoms f(x,y) and z. A name is read as the parser reads an atom, so
+    "f (x, y)" also names f(x,y). Raises ValueError, naming the directions,
+    when the text after ";" is not one of them, also when it is empty: "x;"
+    is not a forward scheme.
     """
     order_part, *dir_part = _split_outside_parens(text, ";", 1)
     direction = dir_part[0].strip() if dir_part else default.value
@@ -274,4 +275,4 @@ def scheme_from_string(text: str, atoms: AtomTable, default: Direction = Directi
     if direction not in valid:
         raise ValueError(f"direction must be one of {', '.join(valid)}, got {direction!r}")
     names = [n.strip() for n in _split_outside_parens(order_part, ",") if n.strip()]
-    return Scheme(tuple(atoms.id_of(n) for n in names), Direction(direction))
+    return Scheme(tuple(atoms.id_of(canonical_atom(n)) for n in names), Direction(direction))

@@ -1,19 +1,24 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import opmin
+from opmin.benchgen import resultant_expr
 from opmin.expr import (
     AtomTable,
     Expression,
     OpCount,
     ParseError,
     Term,
+    _tokenize,
+    canonical_atom,
     eval_mod_p,
     naive_op_count,
     parse,
@@ -42,9 +47,12 @@ REJECTED = {
     "(x)": ("unexpected character '('", 0),
     "x & y": ("unexpected character '&'", 2),
     "x + sin (x": ("unbalanced '(' in function atom", 8),
-    # The whole text is tokenized first, so the bad character wins over
-    # the missing operator before it.
+    # A lexical error anywhere wins over a grammar error before it: the
+    # parser drains the lexer before it raises its own error.
     "x y &": ("unexpected character '&'", 4),
+    "x + + y ²": ("unexpected character '²'", 8),
+    "x ^ y &": ("unexpected character '&'", 6),
+    "x * * sin(y": ("unbalanced '(' in function atom", 9),
 }
 
 
@@ -204,6 +212,59 @@ class TestParse:
                 atoms.text(a) for a in range(len(atoms))
             ], text
             assert e.terms == Expression.from_terms(atoms, terms).terms, text
+
+    def test_a_lexical_error_anywhere_wins(self):
+        # parse raises what lexing the whole text first would raise: the
+        # lexer's ParseError if it has one, else the parser's own.
+        rng = random.Random(30)
+        pool = list("xyab_0129+-*^(),²&") + ["\t", " ", "sin(", "f(x, y)", "10"]
+        lexical = grammar_first = 0
+        for _ in range(4000):
+            text = "".join(rng.choice(pool) for _ in range(rng.randint(0, 12)))
+            try:
+                list(_tokenize(text))
+                continue
+            except ParseError as exc:
+                want = (str(exc), exc.position)
+            with pytest.raises(ParseError) as got:
+                parse(text)
+            assert (str(got.value), got.value.position) == want, text
+            lexical += 1
+            try:  # does the text before the lexical error fail the grammar?
+                parse(text[: want[1]])
+            except ParseError as exc:
+                grammar_first += exc.position < want[1]
+        assert lexical > 2000 and grammar_first > 500, (lexical, grammar_first)
+
+    def test_parse_peaks_below_three_times_what_it_keeps(self):
+        # The token stream is never listed and the terms are not copied
+        # before canonicalization, so the peak is close to the result.
+        text = to_string(resultant_expr(6, 4))
+        gc.collect()  # empty the free lists, so retained memory is live memory
+        tracemalloc.start()
+        try:
+            e = parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(e.terms) == 1233
+        assert peak < 3 * retained, (peak, retained)
+
+    @pytest.mark.parametrize(
+        "written, canonical",
+        [
+            ("x", "x"),
+            ("f(x,y)", "f(x,y)"),
+            ("f(x, y)", "f(x,y)"),
+            ("f (\tx ,y )", "f(x,y)"),
+            ("f(x", "f(x"),  # not an atom: the lookup that follows refuses it
+            ("x y(z)", "x y(z)"),  # two atoms: left as written
+        ],
+    )
+    def test_canonical_atom(self, written, canonical):
+        assert canonical_atom(written) == canonical
 
     def test_error_position(self):
         with pytest.raises(ParseError) as exc:

@@ -237,6 +237,17 @@ class TestSchemeSerialization:
             s = Scheme(order, direction)
             assert scheme_from_string(scheme_to_string(s, e.atoms), e.atoms) == s
 
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_function_atom_names_read_as_the_parser_reads_them(self, direction):
+        # Each spelling, in the expression or in the scheme, names f(x,y).
+        spellings = ["f(x, y)", "f (x,y)", "f(x,y)"]
+        for in_expr in spellings:
+            e = parse(f"{in_expr}*z + {in_expr} + z*w + 2*w*{in_expr}")
+            want = Scheme(tuple(e.atoms.id_of(n) for n in ("f(x,y)", "z", "w")), direction)
+            for in_scheme in spellings:
+                assert scheme_from_string(f"{in_scheme},z,w;{direction.value}", e.atoms) == want
+                assert scheme_from_string(f" {in_scheme} , z,w", e.atoms, default=direction) == want
+
     @pytest.mark.parametrize(
         "text, message",
         [
