@@ -25,9 +25,12 @@ keys of a sweep row (below): sample (0), cp, criterion ("uct" or
 ops_total, ops_mul, ops_add, scheme (the order as "a,b"); for a cp above 0
 it is row 0 of sweep --cp-min C --cp-max C --samples 1 --seed S --format
 json. bruteforce --format json prints the keys ops_total, ops_mul,
-ops_add, scheme, direction, schemes_evaluated. In a --scheme of simplify,
-"," separates atoms and ";" the direction only outside parentheses: a ","
-or ";" inside them belongs to a function atom, as in "f(x,y),z;backward".
+ops_add, scheme, direction, schemes_evaluated, histogram, where histogram
+lists [total, orders] pairs in increasing total: how many orders score
+each total, so the orders sum to schemes_evaluated. In a --scheme of
+simplify, "," separates atoms and ";" the direction only outside
+parentheses: a "," or ";" inside them belongs to a function atom, as in
+"f(x,y),z;backward".
 sweep runs sample k at point k mod G of a grid of G cp values, spaced
 evenly in log cp from --cp-min to --cp-max, and with seed --seed plus k;
 G = min(--samples, 1 + ceil(10 log10(cp_max / cp_min))), a spacing of
@@ -56,6 +59,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 from . import benchgen
@@ -97,7 +101,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _load_expression(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which some editors write.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse(fh.read())
 
 
@@ -312,6 +317,7 @@ def cmd_bruteforce(args) -> int:
             "scheme": order_to_string(scheme.order, e.atoms),
             "direction": scheme.direction.value,
             "schemes_evaluated": result.iterations_run,
+            "histogram": sorted(map(list, Counter(result.deltas_per_iteration).items())),
         }
         print(json.dumps(record, indent=2))
     else:

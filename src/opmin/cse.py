@@ -62,7 +62,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain, combinations, repeat
 from operator import ge
 
-from .expr import AtomTable, Expression, OpCount, variables
+from .expr import AtomTable, Expression, OpCount
 from .horner import Const, Power, Scheme, Sum, Var, check_scheme, effective_order
 
 K_SUM, K_PROD, K_POW, K_VAR, K_CONST = 0, 1, 2, 3, 4
@@ -653,12 +653,13 @@ class DeltaScorer:
     def __init__(self, e: Expression):
         self._coeffs = [t.coeff for t in e.terms]
         self._exps = [t.exponents for t in e.terms]
-        # One column per atom id; an atom that cancelled out has None.
+        # One column per atom id, made when a term first holds the atom;
+        # an atom that cancelled out keeps None.
         self._cols = cols = [None] * len(e.atoms)
-        for a in variables(e):
-            cols[a] = [0] * len(e.terms)
         for i, t in enumerate(e.terms):
             for a, x in t.exponents:
+                if cols[a] is None:
+                    cols[a] = [0] * len(e.terms)
                 cols[a][i] = x
         self.cache: dict[tuple[int, ...] | bytes, tuple[int, int]] = {}
         # Trace entries are atom ids and the end marker len(cols).

@@ -14,7 +14,6 @@ equivalence oracle for every downstream rewrite.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 
@@ -169,13 +168,14 @@ def _canonical_terms(merged: dict[tuple[tuple[int, int], ...], int]) -> tuple[Te
 # factor := integer | atom ('^' positive-integer)?
 # atom   := identifier | identifier '(' balanced-text ')'
 #
-# The lexer is a generator and the parser takes one token at a time, looking
-# ahead only past an atom for '^'. Errors are reported as if the whole text
-# were lexed first: the first lexical error anywhere, else the first grammar
-# error, so a grammar error drains the lexer before it is raised.
+# parse is one loop over the characters, which lexes each factor where the
+# grammar expects one, then its '^' exponent and the '*', '+' or '-' after
+# it; whitespace may stand between any two of these. Errors are reported as
+# if the whole text were lexed first: the first lexical error anywhere, else
+# the first grammar error. So after a grammar error the loop keeps lexing
+# the rest of the text with no grammar actions, and raises the grammar
+# error only at the end.
 # ---------------------------------------------------------------------------
-
-_INT, _ATOM, _OP, _END = "int", "atom", "op", "end"
 
 
 def canonical_atom(written: str) -> str:
@@ -191,122 +191,119 @@ def canonical_atom(written: str) -> str:
     return head.strip() + paren + "".join(rest.split())
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, object, int]]:
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^":
-            yield (_OP, ch, i)
-            i += 1
-            continue
-        if ch.isdecimal():  # int() takes these; isdigit() also admits '²'
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            try:
-                val = int(text[i:j])
-            except ValueError:  # past sys.get_int_max_str_digits()
-                limit = sys.get_int_max_str_digits()
-                raise ParseError(f"integer literal longer than {limit} digits", i) from None
-            yield (_INT, val, i)
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            k = j
-            while k < n and text[k].isspace():
-                k += 1
-            if k < n and text[k] == "(":
-                # Opaque function atom: capture balanced parens.
-                depth, m = 0, k
-                while m < n:
-                    if text[m] == "(":
-                        depth += 1
-                    elif text[m] == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    m += 1
-                if depth != 0:
-                    raise ParseError("unbalanced '(' in function atom", k)
-                yield (_ATOM, canonical_atom(text[i : m + 1]), i)
-                i = m + 1
-            else:
-                yield (_ATOM, text[i:j], i)
-                i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    yield (_END, None, n)
+def _long_literal(pos: int) -> ParseError:
+    limit = sys.get_int_max_str_digits()
+    return ParseError(f"integer literal longer than {limit} digits", pos)
 
 
 def parse(text: str) -> Expression:
     """Parse expression text into canonical form over a fresh atom table.
 
-    Tokens are streamed from the lexer, and like terms are merged as they
-    are read, so no token list or term list is built. On malformed text the
-    ParseError raised is the first lexical error anywhere in the text (an
-    unexpected character, an unbalanced function atom, an over-long integer
-    literal), else the first grammar error. A ValueError is raised when a
-    merged coefficient is too long for str() to print.
+    Like terms are merged as they are read, so no token list or term list
+    is built. On malformed text the ParseError raised is the first lexical
+    error anywhere in the text (an unexpected character, an unbalanced
+    function atom, an over-long integer literal), else the first grammar
+    error. A ValueError is raised when a merged coefficient is too long for
+    str() to print.
     """
     atoms = AtomTable()
-    toks = _tokenize(text)
-    try:
-        merged = _read_terms(toks, atoms)
-    except ParseError:
-        for _ in toks:  # a lexical error later in the text is raised instead
-            pass
-        raise
-    return Expression(atoms, _canonical_terms(merged))
-
-
-def _read_terms(toks: Iterator[tuple[str, object, int]], atoms: AtomTable) -> dict[tuple[tuple[int, int], ...], int]:
-    """Read the token stream into a dict from sorted exponent tuple to
-    coefficient, interning atoms in text order."""
-    take, intern = toks.__next__, atoms.intern
-    kind, val, pos = take()
-    if kind == _END:
+    intern, n, i = atoms.intern, len(text), 0
+    # A sentinel ends the scans over spaces, digits and names without a
+    # bounds test; a "\0" in the text itself is an unexpected character.
+    text += "\0"
+    while text[i].isspace():
+        i += 1
+    if i == n:
         raise ParseError("empty expression", 0)
-
-    # Only operator tokens carry '+', '-', '*' or '^' as their value.
     coeff, exps, merged = 1, {}, {}
-    if val in ("+", "-"):
-        coeff = -1 if val == "-" else 1
-        kind, val, pos = take()
+    if text[i] in "+-":
+        coeff = -1 if text[i] == "-" else 1
+        i += 1
+    err = None  # the first grammar error; once set, the loop only lexes
     while True:
-        if kind == _INT:
-            coeff *= val
-            kind, val, pos = take()
-        elif kind == _ATOM:
-            aid = intern(val)
-            kind, val, pos = take()
-            e = 1
-            if val == "^":
-                kind, e, pos = take()
-                if kind != _INT:
-                    raise ParseError("expected integer exponent after '^'", pos)
+        # A factor, or after a grammar error any token.
+        pos, ch = i, text[i]
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while text[j].isalnum() or text[j] == "_":
+                j += 1
+            i = j
+            while text[i].isspace():
+                i += 1
+            if text[i] == "(":
+                # Opaque function atom: capture balanced parens.
+                depth, m = 1, i + 1
+                while depth and m < n:
+                    depth += (text[m] == "(") - (text[m] == ")")
+                    m += 1
+                if depth:
+                    raise ParseError("unbalanced '(' in function atom", i)
+                name, i = canonical_atom(text[pos:m]), m
+                while text[i].isspace():
+                    i += 1
+            else:
+                name = text[pos:j]
+            if err:
+                continue
+            aid, e = intern(name), 1
+            if text[i] == "^":
+                i += 1
+                while text[i].isspace():
+                    i += 1
+                pos = i
+                if not text[i].isdecimal():
+                    err = ParseError("expected integer exponent after '^'", pos)
+                    continue
+                i += 1
+                while text[i].isdecimal():
+                    i += 1
+                try:
+                    e = int(text[pos:i])
+                except ValueError:  # past sys.get_int_max_str_digits()
+                    raise _long_literal(pos) from None
                 if e < 1:
-                    raise ParseError("exponent must be a positive integer", pos)
-                kind, val, pos = take()
+                    err = ParseError("exponent must be a positive integer", pos)
+                    continue
             exps[aid] = exps.get(aid, 0) + e
+        elif ch.isdecimal():  # int() takes these; isdigit() also admits '²'
+            i += 1
+            while text[i].isdecimal():
+                i += 1
+            try:
+                val = int(text[pos:i])
+            except ValueError:
+                raise _long_literal(pos) from None
+            if err:
+                continue
+            coeff *= val
+        elif ch in "+-*^":
+            i += 1
+            if not err:
+                err = ParseError("expected integer or atom", pos)
+            continue
+        elif ch.isspace():
+            i += 1
+            continue
+        elif i == n:
+            raise err or ParseError("expected integer or atom", n)
         else:
-            raise ParseError("expected integer or atom", pos)
-        if val == "*":
-            kind, val, pos = take()
+            raise ParseError(f"unexpected character {ch!r}", pos)
+        # After a factor: '*', '+', '-' or the end.
+        while text[i].isspace():
+            i += 1
+        ch = text[i]
+        if ch == "*":
+            i += 1
             continue
         key = tuple(sorted(exps.items()))
         merged[key] = merged.get(key, 0) + coeff
-        if kind == _END:
-            return merged
-        if val not in ("+", "-"):
-            raise ParseError("expected '+' or '-' between terms", pos)
-        coeff, exps = -1 if val == "-" else 1, {}
-        kind, val, pos = take()
+        if ch in "+-":
+            coeff, exps = -1 if ch == "-" else 1, {}
+            i += 1
+        elif i == n:
+            return Expression(atoms, _canonical_terms(merged))
+        else:
+            err = ParseError("expected '+' or '-' between terms", i)
 
 
 # ---------------------------------------------------------------------------

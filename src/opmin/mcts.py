@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 
@@ -209,7 +209,11 @@ def brute_force_search(
     direction: Direction = Direction.FORWARD,
     max_vars: int = 8,
 ) -> SearchResult:
-    """Exhaustive minimum over all full extraction orders (lex-first ties)."""
+    """Exhaustive minimum over all full extraction orders (lex-first ties).
+
+    ``deltas_per_iteration`` holds every order's total, in the order
+    ``itertools.permutations`` makes the orders.
+    """
     if max_vars < 1:
         raise ValueError("max_vars must be >= 1")
     if not isinstance(direction, Direction):
@@ -221,12 +225,13 @@ def brute_force_search(
         raise ValueError(f"{len(vs)} variables exceeds brute-force guard {max_vars}")
     scorer = DeltaScorer(e)
     backward = direction is Direction.BACKWARD
-    # min keeps the first of equal totals: the lex-first optimal order.
-    best_order = min(permutations(vs), key=lambda p: sum(scorer.delta(p[::-1] if backward else p)))
+    totals = [sum(scorer.delta(p[::-1] if backward else p)) for p in permutations(vs)]
+    # index finds the first of equal totals: the lex-first optimal order.
+    best_order = next(islice(permutations(vs), totals.index(min(totals)), None))
     mul, add = scorer.delta(best_order[::-1] if backward else best_order)
     return SearchResult(
         best_delta=OpCount(mul=mul, add=add),
         best_scheme=Scheme(best_order, direction),
-        deltas_per_iteration=[],
-        iterations_run=math.factorial(len(vs)),
+        deltas_per_iteration=totals,
+        iterations_run=len(totals),
     )

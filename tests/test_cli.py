@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -11,8 +13,10 @@ import pytest
 import opmin
 import opmin.cli
 from opmin import mcts
+from opmin.benchgen import resultant_expr
 from opmin.cli import main
-from opmin.cse import Dag, _Rewriter
+from opmin.cse import Dag, DeltaScorer, _Rewriter
+from opmin.expr import parse, to_string, variables
 from opmin.sweep import CSV_HEADER, SweepRow, analyze_rows, read_csv
 
 from test_expr import WORKED
@@ -156,6 +160,20 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "opmin: error: unexpected sweep CSV header: []\n"
 
+    def test_leading_byte_order_mark_is_read_past(self, capsys, tmp_path, worked):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + WORKED.encode() + b"\n")
+        code, out, err = run(capsys, "simplify", str(path))
+        assert code == 0 and err == ""
+        assert out == run(capsys, "simplify", worked)[1]
+
+    def test_byte_order_mark_in_mid_text_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbfx + \xef\xbb\xbfy\n")
+        code, out, err = run(capsys, "simplify", str(path))
+        assert code == 2 and out == ""
+        assert err == "opmin: error: unexpected character '\\ufeff' (at position 4)\n"
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "simplify", str(tmp_path / "absent.txt"))
         assert code == 2
@@ -284,8 +302,27 @@ class TestJsonSchemas:
             "scheme",
             "direction",
             "schemes_evaluated",
+            "histogram",
         ]
         assert doc["ops_total"] == 6 and doc["schemes_evaluated"] == 6
+        assert doc["histogram"][0][0] == 6
+        assert sum(orders for _, orders in doc["histogram"]) == 6
+
+    def test_bruteforce_histogram_counts_every_order(self, capsys, tmp_path):
+        # res(3,2): minimum 34, reached by 54 of its 5040 orders. Reversal
+        # permutes the set of orders, so both directions count alike.
+        path = tmp_path / "res32.txt"
+        path.write_text(to_string(resultant_expr(3, 2)) + "\n")
+        e = parse(path.read_text())  # the atom ids that bruteforce scores under
+        scorer = DeltaScorer(e)
+        direct = Counter(sum(scorer.delta(order)) for order in permutations(variables(e)))
+        for direction in ("forward", "backward"):
+            code, out, _ = run(capsys, "bruteforce", str(path), "--direction", direction, "--format", "json")
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["histogram"] == sorted(map(list, direct.items()))
+            assert doc["histogram"][0] == [doc["ops_total"], 54] == [34, 54]
+            assert sum(orders for _, orders in doc["histogram"]) == doc["schemes_evaluated"] == 5040
 
     def test_bruteforce_scheme_round_trips_through_simplify(self, capsys, three_vars, tmp_path):
         # "," and ";" inside a function atom's parentheses belong to it.

@@ -4,6 +4,8 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from opmin.expr import (
     OpCount,
     ParseError,
     Term,
-    _tokenize,
+    _canonical_terms,
     canonical_atom,
     eval_mod_p,
     naive_op_count,
@@ -46,14 +48,144 @@ REJECTED = {
     "x^2^3": ("expected '+' or '-' between terms", 3),
     "(x)": ("unexpected character '('", 0),
     "x & y": ("unexpected character '&'", 2),
+    "x + \0": ("unexpected character '\\x00'", 4),
     "x + sin (x": ("unbalanced '(' in function atom", 8),
-    # A lexical error anywhere wins over a grammar error before it: the
-    # parser drains the lexer before it raises its own error.
+    # A lexical error anywhere wins over a grammar error before it: parse
+    # lexes the rest of the text before it raises its own error.
     "x y &": ("unexpected character '&'", 4),
     "x + + y ²": ("unexpected character '²'", 8),
     "x ^ y &": ("unexpected character '&'", 6),
     "x * * sin(y": ("unbalanced '(' in function atom", 9),
 }
+
+
+# ---------------------------------------------------------------------------
+# The reference parser, built the other way round from parse: a generator
+# lexer, and a parser that takes its tokens one at a time and drains the
+# lexer after a grammar error. parse must return, and raise, what it does:
+# the same terms and atom order, the same messages at the same positions.
+# ---------------------------------------------------------------------------
+
+_INT, _ATOM, _OP, _END = "int", "atom", "op", "end"
+
+
+def _tokenize(text: str) -> Iterator[tuple[str, object, int]]:
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*^":
+            yield (_OP, ch, i)
+            i += 1
+            continue
+        if ch.isdecimal():  # int() takes these; isdigit() also admits '²'
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            try:
+                val = int(text[i:j])
+            except ValueError:  # past sys.get_int_max_str_digits()
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(f"integer literal longer than {limit} digits", i) from None
+            yield (_INT, val, i)
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            k = j
+            while k < n and text[k].isspace():
+                k += 1
+            if k < n and text[k] == "(":
+                # Opaque function atom: capture balanced parens.
+                depth, m = 0, k
+                while m < n:
+                    if text[m] == "(":
+                        depth += 1
+                    elif text[m] == ")":
+                        depth -= 1
+                        if depth == 0:
+                            break
+                    m += 1
+                if depth != 0:
+                    raise ParseError("unbalanced '(' in function atom", k)
+                yield (_ATOM, canonical_atom(text[i : m + 1]), i)
+                i = m + 1
+            else:
+                yield (_ATOM, text[i:j], i)
+                i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    yield (_END, None, n)
+
+
+def reference_parse(text: str) -> Expression:
+    """Parse expression text into canonical form over a fresh atom table.
+
+    Tokens are streamed from the lexer, and like terms are merged as they
+    are read, so no token list or term list is built. On malformed text the
+    ParseError raised is the first lexical error anywhere in the text (an
+    unexpected character, an unbalanced function atom, an over-long integer
+    literal), else the first grammar error. A ValueError is raised when a
+    merged coefficient is too long for str() to print.
+    """
+    atoms = AtomTable()
+    toks = _tokenize(text)
+    try:
+        merged = _read_terms(toks, atoms)
+    except ParseError:
+        for _ in toks:  # a lexical error later in the text is raised instead
+            pass
+        raise
+    return Expression(atoms, _canonical_terms(merged))
+
+
+def _read_terms(toks: Iterator[tuple[str, object, int]], atoms: AtomTable) -> dict[tuple[tuple[int, int], ...], int]:
+    """Read the token stream into a dict from sorted exponent tuple to
+    coefficient, interning atoms in text order."""
+    take, intern = toks.__next__, atoms.intern
+    kind, val, pos = take()
+    if kind == _END:
+        raise ParseError("empty expression", 0)
+
+    # Only operator tokens carry '+', '-', '*' or '^' as their value.
+    coeff, exps, merged = 1, {}, {}
+    if val in ("+", "-"):
+        coeff = -1 if val == "-" else 1
+        kind, val, pos = take()
+    while True:
+        if kind == _INT:
+            coeff *= val
+            kind, val, pos = take()
+        elif kind == _ATOM:
+            aid = intern(val)
+            kind, val, pos = take()
+            e = 1
+            if val == "^":
+                kind, e, pos = take()
+                if kind != _INT:
+                    raise ParseError("expected integer exponent after '^'", pos)
+                if e < 1:
+                    raise ParseError("exponent must be a positive integer", pos)
+                kind, val, pos = take()
+            exps[aid] = exps.get(aid, 0) + e
+        else:
+            raise ParseError("expected integer or atom", pos)
+        if val == "*":
+            kind, val, pos = take()
+            continue
+        key = tuple(sorted(exps.items()))
+        merged[key] = merged.get(key, 0) + coeff
+        if kind == _END:
+            return merged
+        if val not in ("+", "-"):
+            raise ParseError("expected '+' or '-' between terms", pos)
+        coeff, exps = -1 if val == "-" else 1, {}
+        kind, val, pos = take()
+
 
 
 def brute_factor_count(e: Expression) -> OpCount:
@@ -235,6 +367,77 @@ class TestParse:
             except ParseError as exc:
                 grammar_first += exc.position < want[1]
         assert lexical > 2000 and grammar_first > 500, (lexical, grammar_first)
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() has no digit limit here",
+    )
+    def test_parse_agrees_with_the_reference_parser(self):
+        # Seeded strings, half drawn uniformly from a pool of characters
+        # and atoms, half written from the grammar with up to two token
+        # mutations. Under a 640-digit limit some literals are too long,
+        # and some products of two literals make too long a coefficient.
+        rng = random.Random(31)
+        pool = list("xyab_0129+-*^(),²&\0") + ["\t", " ", "sin(", "f(x, y)", "f (x)", "10", "9" * 641]
+        written = ["x", "y", "_a1", "z²", "sin(x)", "sin (\tx )", "f(x, y)", "f (x)", "f( g (x) , y )"]
+        mutations = list("+-*^(),²& \t") + ["sin(", "x", "0", "99"]
+
+        def from_grammar():
+            toks = []
+            for t in range(rng.randint(1, 5)):
+                if t or rng.random() < 0.5:
+                    toks.append(rng.choice("+-"))
+                for f in range(rng.randint(1, 4)):
+                    if f:
+                        toks.append("*")
+                    if rng.random() < 0.3:
+                        toks.append("9" * rng.randint(300, 700) if rng.random() < 0.1 else str(rng.randint(0, 12)))
+                        continue
+                    toks.append(rng.choice(written))
+                    if rng.random() < 0.4:
+                        toks += ["^", str(0 if rng.random() < 0.1 else rng.randint(1, 3))]
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                k = rng.randrange(len(toks))
+                if rng.random() < 0.5:
+                    toks.insert(k, rng.choice(mutations))
+                else:
+                    toks[k] = rng.choice(mutations)
+            return "".join(rng.choice(["", "", " ", "\t", " \n "]) + tok for tok in toks)
+
+        def outcome(parse_text, text):
+            try:
+                e = parse_text(text)
+            except ParseError as exc:
+                return ("ParseError", str(exc), exc.position)
+            except ValueError as exc:
+                return ("ValueError", str(exc))
+            return ("ok", to_string(e), [e.atoms.text(a) for a in range(len(e.atoms))])
+
+        kinds = Counter()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for k in range(20000):
+                if k % 2:
+                    text = "".join(rng.choice(pool) for _ in range(rng.randint(0, 16)))
+                else:
+                    text = from_grammar()
+                want = outcome(reference_parse, text)
+                assert outcome(parse, text) == want, text
+                kinds[want[0] if want[0] != "ParseError" else want[1].split(" (at ")[0]] += 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+        messages = [
+            "empty expression",
+            "expected integer or atom",
+            "expected integer exponent after '^'",
+            "exponent must be a positive integer",
+            "expected '+' or '-' between terms",
+            "unbalanced '(' in function atom",
+            "integer literal longer than 640 digits",
+        ]
+        assert all(kinds[m] > 100 for m in messages), kinds
+        assert kinds["ok"] > 4000 and kinds["ValueError"] > 10, kinds
 
     def test_parse_peaks_below_three_times_what_it_keeps(self):
         # The token stream is never listed and the terms are not copied

@@ -348,6 +348,9 @@ class TestBruteForce:
         res = brute_force_search(e)
         assert res.best_delta.total == brute_force_oracle(e) == 6
         assert res.iterations_run == 6  # 3! permutations
+        # Every order's total, in permutations order.
+        want = [simplify(e, Scheme(p, Direction.FORWARD)).ops.total for p in permutations(variables(e))]
+        assert res.deltas_per_iteration == want
 
     def test_lexicographic_first_tie(self):
         e = parse("x*y")  # every order ties
