@@ -9,11 +9,12 @@ available. Both are pure functions of their parameters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import AtomTable, Expression, Term
+from .expr import AtomTable, Expression, Term, _integer_fields
 
 MAX_RESULTANT_SIZE = 12  # m + n; res(7,5) is the intended ceiling
 
@@ -36,73 +37,58 @@ def sylvester_entries(m: int, n: int) -> list[list[str | None]]:
 
 
 def resultant_expr(m: int, n: int) -> Expression:
-    """res(m, n): Sylvester determinant over atoms a0..am, b0..bn.
+    """res(m, n): the determinant of ``sylvester_entries(m, n)``, expanded.
 
-    Computed by Laplace expansion along rows with minors memoized on the
-    set of remaining columns (2^(m+n) subsets), which avoids polynomial
-    division entirely. Guarded to m+n <= 12.
+    Atoms are numbered a0..am, then b0..bn, in the returned table. Atom ids
+    order the terms and steer the scorer, so this numbering is part of the
+    result: the text that ``opmin generate`` writes is numbered in first-seen
+    order when it is read back (a0, b2, a1, b1, a2, b0, a3 for res(3, 2)),
+    and a brute-force histogram of that file can differ from this
+    expression's, though not at the minimum. Guarded to m+n <= 12.
     """
     if m < 1 or n < 1:
         raise ValueError("resultant degrees must be >= 1")
     if m + n > MAX_RESULTANT_SIZE:
         raise ValueError(f"resultant size {m}+{n} exceeds guard {MAX_RESULTANT_SIZE}")
-
     atoms = AtomTable()
-    ids = {}
-    for i in range(m + 1):
-        ids[f"a{i}"] = atoms.intern(f"a{i}")
-    for j in range(n + 1):
-        ids[f"b{j}"] = atoms.intern(f"b{j}")
+    for name in [f"a{i}" for i in range(m + 1)] + [f"b{j}" for j in range(n + 1)]:
+        atoms.intern(name)
+    return _determinant(atoms, sylvester_entries(m, n))
 
-    size = m + n
-    grid = sylvester_entries(m, n)
-    # rows as {column: atom_id}
-    rows = [
-        {c: ids[name] for c, name in enumerate(grid[r]) if name is not None}
-        for r in range(size)
-    ]
 
-    # Monomials as dense exponent tuples over the m+n+2 atoms.
-    nvars = m + n + 2
-    one = ((0,) * nvars, 1)
-    memo: dict[int, dict] = {}
+def _determinant(atoms: AtomTable, grid: list[list[str | None]]) -> Expression:
+    """The expanded determinant of a square grid of atom names (None = zero).
 
-    def minor(cols_mask: int) -> dict:
-        """Determinant of rows r.. x the columns in cols_mask, r = rows used."""
-        if cols_mask == 0:
-            return {one[0]: one[1]}
-        cached = memo.get(cols_mask)
-        if cached is not None:
-            return cached
-        r = size - bin(cols_mask).count("1")
-        row = rows[r]
-        acc: dict = {}
-        sign = 1
-        for c in range(size):
+    Names not yet in *atoms* are interned in row-major order. Laplace
+    expansion along rows, with each minor memoized on the mask of its
+    remaining columns (at most 2^size of them), so no polynomial division
+    is needed. Monomials are dense exponent tuples over the table's atoms.
+    """
+    size = len(grid)
+    # Rows as {column: atom id}: dicts of ints, which the collector does not track.
+    rows = [{c: atoms.intern(name) for c, name in enumerate(row) if name is not None} for row in grid]
+    one = (0,) * len(atoms)
+
+    @functools.cache
+    def minor(mask: int) -> dict[tuple[int, ...], int]:
+        # Rows size - |mask|.. by the columns in mask.
+        if not mask:
+            return {one: 1}
+        acc: dict[tuple[int, ...], int] = {}
+        for c, aid in rows[size - mask.bit_count()].items():
             bit = 1 << c
-            if not cols_mask & bit:
-                continue
-            aid = row.get(c)
-            if aid is not None:
-                sub = minor(cols_mask & ~bit)
-                for mono, coeff in sub.items():
-                    bumped = list(mono)
-                    bumped[aid] += 1
-                    key = tuple(bumped)
-                    v = acc.get(key, 0) + sign * coeff
-                    if v:
-                        acc[key] = v
-                    elif key in acc:
-                        del acc[key]
-            sign = -sign
-        memo[cols_mask] = acc
-        return acc
+            if mask & bit:
+                # The column's position among the remaining ones sets the sign.
+                sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+                for mono, coeff in minor(mask ^ bit).items():
+                    key = mono[:aid] + (mono[aid] + 1,) + mono[aid + 1 :]
+                    acc[key] = acc.get(key, 0) + sign * coeff
+        return {mono: coeff for mono, coeff in acc.items() if coeff}
 
     det = minor((1 << size) - 1)
-    terms = [
-        Term(coeff, tuple((a, e) for a, e in enumerate(mono) if e))
-        for mono, coeff in det.items()
-    ]
+    # The cache holds every minor; the closure's cycle would keep it alive.
+    minor.cache_clear()
+    terms = [Term(coeff, tuple((a, e) for a, e in enumerate(mono) if e)) for mono, coeff in det.items()]
     return Expression.from_terms(atoms, terms)
 
 
@@ -115,6 +101,7 @@ class RandomExprParams:
     seed: int
 
     def __post_init__(self):
+        _integer_fields(self, "n_vars", "n_terms", "max_exponent", "coeff_range", "seed")
         for name in ("n_vars", "n_terms", "max_exponent", "coeff_range"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")

@@ -27,10 +27,14 @@ it is row 0 of sweep --cp-min C --cp-max C --samples 1 --seed S --format
 json. bruteforce --format json prints the keys ops_total, ops_mul,
 ops_add, scheme, direction, schemes_evaluated, histogram, where histogram
 lists [total, orders] pairs in increasing total: how many orders score
-each total, so the orders sum to schemes_evaluated. In a --scheme of
-simplify, "," separates atoms and ";" the direction only outside
-parentheses: a "," or ";" inside them belongs to a function atom, as in
-"f(x,y),z;backward".
+each total, so the orders sum to schemes_evaluated. The counts are those
+of the file's own atom numbering, first-seen order: the same expression
+with its atoms met in another order may count differently away from the
+minimum (res(3,2) as generate writes it has 940 orders at 39; numbered
+a0..a3, b0..b2, 954).
+In a --scheme of simplify, "," separates atoms and ";" the direction only
+outside parentheses: a "," or ";" inside them belongs to a function atom,
+as in "f(x,y),z;backward".
 sweep runs sample k at point k mod G of a grid of G cp values, spaced
 evenly in log cp from --cp-min to --cp-max, and with seed --seed plus k;
 G = min(--samples, 1 + ceil(10 log10(cp_max / cp_min))), a spacing of
@@ -173,12 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bruteforce)
 
     p = sub.add_parser("generate", help="write a benchmark expression file")
+    p.set_defaults(func=cmd_generate)
     gsub = p.add_subparsers(dest="generator", required=True)
     g = gsub.add_parser("resultant", help="res(m,n) Sylvester determinant")
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--out", default="-")
-    g.set_defaults(func=cmd_generate_resultant)
     g = gsub.add_parser("random", help="seeded random sparse polynomial")
     g.add_argument("--vars", type=int, required=True)
     g.add_argument("--terms", type=int, required=True)
@@ -186,11 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--coeff-range", type=int, default=9)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", default="-")
-    g.set_defaults(func=cmd_generate_random)
     g = gsub.add_parser("preset", help="pinned named benchmark")
     g.add_argument("--name", required=True, choices=sorted(benchgen.PRESETS))
     g.add_argument("--out", default="-")
-    g.set_defaults(func=cmd_generate_preset)
 
     p = sub.add_parser("analyze", help="region-of-interest report for a sweep CSV")
     p.add_argument("csvfile")
@@ -327,29 +329,18 @@ def cmd_bruteforce(args) -> int:
     return 0
 
 
-def _write_expression(e, out_path: str) -> int:
-    with _output(out_path) as out:
+def cmd_generate(args) -> int:
+    if args.generator == "resultant":
+        e = benchgen.resultant_expr(args.m, args.n)
+    elif args.generator == "random":
+        e = benchgen.random_expr(
+            benchgen.RandomExprParams(args.vars, args.terms, args.max_exponent, args.coeff_range, args.seed)
+        )
+    else:
+        e = benchgen.preset_expr(args.name)
+    with _output(args.out) as out:
         out.write(to_string(e) + "\n")
     return 0
-
-
-def cmd_generate_resultant(args) -> int:
-    return _write_expression(benchgen.resultant_expr(args.m, args.n), args.out)
-
-
-def cmd_generate_random(args) -> int:
-    params = benchgen.RandomExprParams(
-        n_vars=args.vars,
-        n_terms=args.terms,
-        max_exponent=args.max_exponent,
-        coeff_range=args.coeff_range,
-        seed=args.seed,
-    )
-    return _write_expression(benchgen.random_expr(params), args.out)
-
-
-def cmd_generate_preset(args) -> int:
-    return _write_expression(benchgen.preset_expr(args.name), args.out)
 
 
 def cmd_analyze(args) -> int:

@@ -13,6 +13,7 @@ equivalence oracle for every downstream rewrite.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -23,6 +24,22 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+def _integer_fields(obj, *names: str) -> None:
+    """Store each named field of the frozen dataclass *obj* as a plain int.
+
+    A bool or a non-integer such as 2.5 is refused with a ValueError that
+    names the field; an integer type such as numpy's becomes int.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            object.__setattr__(obj, name, operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -106,12 +123,17 @@ class Expression:
 
     @classmethod
     def from_terms(cls, atoms: AtomTable, terms) -> "Expression":
-        """Build a canonical expression, merging like terms."""
+        """Build a canonical expression, merging repeated atoms and like terms."""
         merged: dict[tuple[tuple[int, int], ...], int] = {}
         for t in terms:
-            exps = tuple(sorted((a, e) for a, e in t.exponents if e != 0))
-            if any(e < 0 for _, e in exps):
-                raise ValueError("negative exponent")
+            # An atom repeated in a term is one factor: x*x^2 is x^3.
+            powers: dict[int, int] = {}
+            for a, e in t.exponents:
+                if e < 0:
+                    raise ValueError("negative exponent")
+                if e:
+                    powers[a] = powers.get(a, 0) + e
+            exps = tuple(sorted(powers.items()))
             merged[exps] = merged.get(exps, 0) + t.coeff
         return cls(atoms, _canonical_terms(merged))
 

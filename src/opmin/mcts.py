@@ -27,7 +27,7 @@ from itertools import islice, permutations
 import numpy as np
 
 from .cse import DeltaScorer
-from .expr import Expression, OpCount, naive_op_count, variables
+from .expr import Expression, OpCount, _integer_fields, naive_op_count, variables
 from .horner import Direction, Scheme
 
 
@@ -47,6 +47,7 @@ class SearchParams:
     seed: int = 0
 
     def __post_init__(self):
+        _integer_fields(self, "n_updates", "seed")
         if not (math.isfinite(self.cp) and self.cp >= 0):
             raise ValueError("cp must be nonnegative and finite")
         if self.n_updates < 1:

@@ -44,7 +44,7 @@ import typing
 from dataclasses import astuple, dataclass, fields
 from itertools import islice
 
-from .expr import Expression
+from .expr import Expression, _integer_fields
 from .horner import Direction, order_to_string
 from .cse import DeltaScorer
 from .mcts import Criterion, SearchParams, search
@@ -64,6 +64,7 @@ class SweepConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        _integer_fields(self, "samples", "n_updates", "base_seed")
         if not (0 < self.cp_min <= self.cp_max and math.isfinite(self.cp_max)):
             raise ValueError("need finite 0 < cp_min <= cp_max")
         if self.samples < 1:

@@ -13,6 +13,8 @@ import pytest
 
 import opmin
 from opmin.benchgen import resultant_expr
+from opmin.cse import simplify
+from opmin.horner import Scheme
 from opmin.expr import (
     AtomTable,
     Expression,
@@ -568,6 +570,24 @@ class TestEval:
         for _ in range(20):
             pts = {a: int(rng.integers(0, P31)) for a in aids}
             assert eval_mod_p(e, pts, P31) == eval_term_list(raw, pts, P31)
+
+
+class TestFromTerms:
+    def test_repeated_atom_in_a_term_is_one_factor(self):
+        atoms = AtomTable()
+        x = atoms.intern("x")
+        e = Expression.from_terms(atoms, [Term(1, ((x, 1), (x, 2))), Term(2, ((x, 1),))])
+        ref = parse("x^3 + 2*x")
+        assert to_string(e) == to_string(ref) == "x^3 + 2*x"
+        assert naive_op_count(e) == naive_op_count(ref) == OpCount(mul=3, add=1)
+        ops = simplify(ref, Scheme((ref.atoms.id_of("x"),))).ops
+        assert simplify(e, Scheme((x,))).ops == ops == OpCount(mul=2, add=1)
+
+    def test_negative_exponent_is_refused_before_summing(self):
+        atoms = AtomTable()
+        x = atoms.intern("x")
+        with pytest.raises(ValueError, match="^negative exponent$"):
+            Expression.from_terms(atoms, [Term(1, ((x, 2), (x, -1)))])
 
 
 class TestVariables:

@@ -73,6 +73,16 @@ class TestTemperature:
         with pytest.raises(ValueError, match="^seed must be >= 0$"):
             params(seed=-1)
 
+    @pytest.mark.parametrize("field,value", [("n_updates", 2.5), ("seed", 1.5), ("seed", True), ("n_updates", np.True_)])
+    def test_non_integer_setting_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            params(**{field: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        p = params(n_updates=np.int64(7), seed=np.uint8(3))
+        assert (type(p.n_updates), type(p.seed)) == (int, int)
+        assert (p.n_updates, p.seed) == (7, 3)
+
     def test_huge_cp_stays_finite(self):
         # cp * (N - i) overflows; cp * (N - i) / N does not.
         p = params(cp=1e308, n_updates=3)

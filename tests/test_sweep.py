@@ -165,6 +165,22 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="^base_seed must be >= 0$"):
             small_config(base_seed=-1)
 
+    @pytest.mark.parametrize(
+        "field,value", [("samples", 2.0), ("n_updates", 2.5), ("base_seed", 1.5), ("base_seed", True), ("samples", True)]
+    )
+    def test_non_integer_setting_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            small_config(**{field: value})
+
+    def test_numpy_integer_seed_rows_read_back(self):
+        # A row's seed is a plain int, so its CSV cell reads back.
+        config = small_config(samples=np.int64(2), n_updates=np.int32(5), base_seed=np.int64(1))
+        assert {type(config.samples), type(config.n_updates), type(config.base_seed)} == {int}
+        rows = run_sweep(parse(WORKED), config)
+        out = io.StringIO()
+        write_csv(rows, out)
+        assert read_csv(io.StringIO(out.getvalue())) == rows
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_is_rejected(self, jobs):
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
