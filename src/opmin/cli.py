@@ -344,7 +344,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    with open(args.csvfile, "r", encoding="utf-8", newline="") as fh:
+    with open(args.csvfile, "r", encoding="utf-8-sig", newline="") as fh:
         rows = read_csv(fh)
     report = analyze_rows(rows, epsilon=args.epsilon)
     if args.format == "csv":

@@ -137,26 +137,22 @@ def build_dag(tree) -> Dag:
     args: list[tuple] = []
     index: dict = {}
 
-    def intern(key, kind, arg):
-        i = index.get(key)
-        if i is None:
-            i = len(kinds)
+    def intern(kind, arg: tuple) -> int:
+        i = index.setdefault((kind, arg), len(kinds))
+        if i == len(kinds):
             kinds.append(kind)
             args.append(arg)
-            index[key] = i
         return i
 
     def visit(node) -> int:
         if isinstance(node, Var):
-            return intern((K_VAR, node.atom), K_VAR, (node.atom,))
+            return intern(K_VAR, (node.atom,))
         if isinstance(node, Const):
-            return intern((K_CONST, node.value), K_CONST, (node.value,))
+            return intern(K_CONST, (node.value,))
         if isinstance(node, Power):
-            b = visit(node.base)
-            return intern((K_POW, (b, node.exp)), K_POW, (b, node.exp))
+            return intern(K_POW, (visit(node.base), node.exp))
         kind = K_SUM if isinstance(node, Sum) else K_PROD
-        ch = tuple(sorted(visit(c) for c in node.children))
-        return intern((kind, ch), kind, ch)
+        return intern(kind, tuple(sorted(visit(c) for c in node.children)))
 
     root = visit(tree)
     return Dag(kinds, args, [root])

@@ -82,38 +82,6 @@ class Const:
     value: int
 
 
-def sum_node(children: list) -> object:
-    """Sum with nested sums flattened; collapses singletons."""
-    flat = []
-    for c in children:
-        if isinstance(c, Sum):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    if not flat:
-        return Const(0)
-    if len(flat) == 1:
-        return flat[0]
-    return Sum(tuple(flat))
-
-
-def product_node(children: list) -> object:
-    """Product with nested products flattened and unit factors dropped."""
-    flat = []
-    for c in children:
-        if isinstance(c, Product):
-            flat.extend(c.children)
-        elif isinstance(c, Const) and c.value == 1:
-            continue
-        else:
-            flat.append(c)
-    if not flat:
-        return Const(1)
-    if len(flat) == 1:
-        return flat[0]
-    return Product(tuple(flat))
-
-
 # ---------------------------------------------------------------------------
 # Scheme application
 # ---------------------------------------------------------------------------
@@ -152,6 +120,12 @@ def apply_scheme(e: Expression, s: Scheme) -> object:
 
 
 def _build(terms: list, order: tuple[int, ...]) -> object:
+    """The tree of distinct, nonzero *terms*.
+
+    Two or more terms build a sum or a product, so a quotient is never a
+    leaf or a constant 1. Only the quotient's product and the addend's sum
+    can be of their parent's kind, and only they are flattened into it.
+    """
     if len(terms) == 1:
         return _monomial(terms[0])
     for v in order:
@@ -169,23 +143,22 @@ def _build(terms: list, order: tuple[int, ...]) -> object:
                 q[v] -= e
             quotient.append((c, q))
         factor = Var(v) if e == 1 else Power(Var(v), e)
-        extracted = product_node([factor, _build(quotient, order)])
-        if rest:
-            return sum_node([_build(rest, order), extracted])
-        return extracted
-    return sum_node([_monomial(t) for t in terms])
+        inner = _build(quotient, order)
+        extracted = Product((factor, *inner.children) if isinstance(inner, Product) else (factor, inner))
+        if not rest:
+            return extracted
+        addend = _build(rest, order)
+        return Sum((*addend.children, extracted) if isinstance(addend, Sum) else (addend, extracted))
+    return Sum(tuple(_monomial(t) for t in terms))
 
 
 def _monomial(term) -> object:
     coeff, exps = term
     if not exps:
         return Const(coeff)
-    factors = []
-    if coeff != 1:
-        factors.append(Const(coeff))
-    for a in sorted(exps):
-        factors.append(Var(a) if exps[a] == 1 else Power(Var(a), exps[a]))
-    return product_node(factors)
+    factors = [Const(coeff)] if coeff != 1 else []
+    factors += [Var(a) if exps[a] == 1 else Power(Var(a), exps[a]) for a in sorted(exps)]
+    return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
 
 # ---------------------------------------------------------------------------

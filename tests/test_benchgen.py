@@ -219,6 +219,13 @@ class TestRandomExpr:
         with pytest.raises(ValueError, match="^seed must be >= 0$"):
             RandomExprParams(n_vars=1, n_terms=1, max_exponent=1, coeff_range=9, seed=-1)
 
+    @pytest.mark.parametrize("field", ["n_vars", "n_terms", "max_exponent", "coeff_range"])
+    def test_setting_below_one_is_rejected(self, field):
+        kw = dict(n_vars=2, n_terms=2, max_exponent=2, coeff_range=3, seed=0)
+        kw[field] = 0
+        with pytest.raises(ValueError, match=f"^{field} must be positive$"):
+            RandomExprParams(**kw)
+
     @pytest.mark.parametrize("field,value", [("n_vars", 2.0), ("n_terms", True), ("seed", 1.5), ("seed", True)])
     def test_non_integer_setting_is_rejected(self, field, value):
         kw = dict(n_vars=2, n_terms=2, max_exponent=2, coeff_range=3, seed=0)

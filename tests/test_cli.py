@@ -114,6 +114,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"opmin: error: jobs must be >= 1, got {jobs}\n"
 
+    def test_bruteforce_on_a_constant_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "five.txt"
+        path.write_text("5\n")
+        code, out, err = run(capsys, "bruteforce", str(path))
+        assert code == 2 and out == ""
+        assert err == "opmin: error: expression has no variables to order\n"
+
     @pytest.mark.parametrize("max_vars", ["0", "-1"])
     def test_bruteforce_max_vars_below_one_exits_2(self, capsys, three_vars, max_vars):
         # Refused before the variable count is compared with the guard.
@@ -173,6 +180,15 @@ class TestExitCodes:
         code, out, err = run(capsys, "simplify", str(path))
         assert code == 2 and out == ""
         assert err == "opmin: error: unexpected character '\\ufeff' (at position 4)\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sweep_csv_with_a_byte_order_mark_gives_the_plain_report(self, capsys, tmp_path, worked, fmt):
+        plain, bom = tmp_path / "sweep.csv", tmp_path / "bom.csv"
+        assert run(capsys, "sweep", worked, "--samples", "6", "--n-updates", "5", "--out", str(plain))[0] == 0
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = run(capsys, "analyze", str(plain), "--format", fmt)
+        assert expected[0] == 0 and expected[2] == ""
+        assert run(capsys, "analyze", str(bom), "--format", fmt) == expected
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "simplify", str(tmp_path / "absent.txt"))

@@ -1,11 +1,23 @@
 import hashlib
+import random
 
 import numpy as np
 import pytest
 
-from opmin.expr import OpCount, eval_mod_p, naive_op_count, parse, variables
+from opmin.expr import AtomTable, Expression, OpCount, Term, eval_mod_p, naive_op_count, parse, variables
 from opmin.benchgen import preset_expr, resultant_expr
-from opmin.horner import Power, Product, Scheme, Sum, Var, apply_scheme, occurrence_order, scheme_from_string
+from opmin.horner import (
+    Direction,
+    Power,
+    Product,
+    Scheme,
+    Sum,
+    Var,
+    apply_scheme,
+    occurrence_order,
+    scheme_from_string,
+    tree_op_count,
+)
 from opmin.cse import (
     K_CONST,
     K_POW,
@@ -238,6 +250,63 @@ class TestBuildDag:
 
     def test_single_atom(self):
         assert build_dag(Var(0)).node_count == 1
+
+
+def _seeded_polynomial(rng: random.Random, n_vars: int, unit: bool) -> Expression:
+    """Up to 8 terms over x0..x{n_vars-1}; with *unit* every coefficient is +-1."""
+    atoms = AtomTable()
+    ids = [atoms.intern(f"x{i}") for i in range(n_vars)]
+    terms = []
+    for _ in range(rng.randint(1, 8)):
+        exps = tuple((a, rng.randint(1, 3)) for a in ids if rng.random() < 0.5)
+        c = rng.choice((-1, 1)) * (1 if unit else rng.randint(1, 4))
+        terms.append(Term(c, exps))
+    return Expression.from_terms(atoms, terms)
+
+
+def reference_cases() -> list:
+    """Seeded (expression, scheme) cases, each scheme in both directions.
+
+    Every expression gets the empty scheme, its full variable order and
+    seeded orders cut at a seeded length, so prefixes are among them. The
+    stream is Python's ``random``, whose output does not depend on numpy.
+    """
+    rng = random.Random(33)
+    exprs = [(parse("5"), 0), (parse("x - x"), 0), (parse(WORKED), 4), (parse(SINCOS), 4)]
+    exprs += [(resultant_expr(3, 2), 120), (resultant_expr(4, 3), 24)]
+    exprs += [(_seeded_polynomial(rng, rng.randint(1, 5), unit=k % 2 == 0), 3) for k in range(360)]
+    cases = []
+    for e, n_orders in exprs:
+        vs = variables(e)
+        orders = {(), tuple(vs)}
+        for _ in range(n_orders):
+            orders.add(tuple(rng.sample(vs, len(vs))[: rng.randint(0, len(vs))]))
+        cases += [(e, Scheme(order, d)) for order in sorted(orders) for d in Direction]
+    return cases
+
+
+class TestReferencePathPinned:
+    """``apply_scheme`` → ``build_dag`` and ``tree_op_count``, pinned by digest.
+
+    The cases cover res(3,2), res(4,3), the constant 5, the zero ``x - x``,
+    +-1 coefficients and seeded polynomials, with empty, prefix and full
+    schemes in both directions. A tree's shape or ``repr``, a DAG's node
+    order or a count that changes on any case changes a digest.
+    """
+
+    def test_trees_dags_and_counts_are_unchanged(self):
+        cases = reference_cases()
+        assert len(cases) == 2740
+        trees, dags, counts = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+        for e, s in cases:
+            tree = apply_scheme(e, s)
+            d = build_dag(tree)
+            trees.update(f"{tree!r}\n".encode())
+            dags.update(f"{(d.kinds, d.args, d.roots)!r}\n".encode())
+            counts.update(f"{tree_op_count(tree)!r}\n".encode())
+        assert trees.hexdigest() == "5a2b3010cd5b7d7d48dd8c6733599ae401e3a35772b2580b4376694f1022c716"
+        assert dags.hexdigest() == "23d3bc86661f890e9423190a782e730cb5e894ddb036f666e837b02be0d13ba8"
+        assert counts.hexdigest() == "4f14a6952632c519faff357a11043bde0de1c226495af1d869fa02f6fa6c5204"
 
 
 # ---------------------------------------------------------------------------

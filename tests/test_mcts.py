@@ -378,6 +378,10 @@ class TestBruteForce:
         with pytest.raises(ValueError, match=r"^max_vars must be >= 1$"):
             brute_force_search(e, "backward", max_vars=0)
 
+    def test_constant_has_no_order_to_search(self):
+        with pytest.raises(ValueError, match="^expression has no variables to order$"):
+            brute_force_search(parse("5"))
+
     def test_direction_text_is_rejected(self):
         with pytest.raises(TypeError, match="direction must be a Direction"):
             brute_force_search(parse(WORKED), "backward")

@@ -119,18 +119,32 @@ class TestRunSweep:
     def test_one_sample_runs_at_cp_min(self):
         assert cp_grid(small_config(samples=1)) == [0.01]
 
+    @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+    @pytest.mark.parametrize("criterion", list(Criterion), ids=lambda c: c.value)
     @pytest.mark.parametrize("samples", [40, 62])
-    def test_run_k_uses_point_k_mod_g_and_seed_base_plus_k(self, samples):
+    def test_run_k_uses_point_k_mod_g_and_seed_base_plus_k(self, samples, criterion, direction):
         e = parse(WORKED)
-        cfg = small_config(samples=samples, n_updates=5)
+        cfg = small_config(samples=samples, n_updates=5, criterion=criterion, direction=direction)
         rows = run_sweep(e, cfg, jobs=2)
         assert rows == run_sweep(e, cfg, jobs=1)
         cps = cp_grid(cfg)
         assert len(cps) == 31
         assert [(r.sample, r.cp, r.seed) for r in rows] == [(k, cps[k % 31], 7 + k) for k in range(samples)]
+        assert {(r.criterion, r.direction) for r in rows} == {(criterion.value, direction.value)}
         # Each point holds floor or ceil of samples / G rows.
         per_point = [sum(r.cp == cp for r in rows) for cp in cps]
         assert set(per_point) == {samples // 31, -(-samples // 31)}
+
+    @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+    def test_uct_and_sa_uct_sweeps_pair_row_for_row(self, direction):
+        # Paired comparisons of the two criteria match run k of one sweep
+        # with run k of the other: same sample, cp and seed.
+        e = resultant_expr(3, 2)
+        uct, sa_uct = (
+            run_sweep(e, small_config(samples=40, n_updates=10, criterion=c, direction=direction)) for c in Criterion
+        )
+        assert [(r.sample, r.cp, r.seed) for r in uct] == [(r.sample, r.cp, r.seed) for r in sa_uct]
+        assert len(uct) == 40
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_row_reruns_from_its_own_fields(self, jobs):
@@ -160,6 +174,10 @@ class TestRunSweep:
             small_config(cp_min=2.0, cp_max=1.0)
         with pytest.raises(ValueError):
             small_config(samples=0)
+
+    def test_zero_n_updates_is_rejected(self):
+        with pytest.raises(ValueError, match="^n_updates must be >= 1$"):
+            small_config(n_updates=0)
 
     def test_negative_base_seed_is_rejected(self):
         with pytest.raises(ValueError, match="^base_seed must be >= 0$"):
